@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: train, build-kb, import-embeddings, transfer-train, eval, topics,
-nn, synth, experiment, bench.  --seed, --out and --config are available on
-every subcommand; --config points at a ``key = value`` file whose entries act
-as flag defaults (explicit flags win).
+nn, synth, experiment.  --seed, --out and --config are available on every
+subcommand.  For ``experiment``, --config is the experiment file; for every
+other subcommand it points at a ``key = value`` file whose entries act as flag
+defaults (explicit flags win).  A missing file or a key the subcommand does not
+register is an error.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import argparse
 import os
 import sys
 
-from . import bench as benchlib
 from . import corpus as corpuslib
-from .errors import TopicxferError
+from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, coherence, model_vector_fn,
                        nearest_neighbors, perplexity, retrieval_precision)
+from .fileio import parse_bool, parse_floats, read_kv
 from .harness import parse_config, run_experiment
 from .model import TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -26,48 +28,34 @@ from .transfer import (InferenceContext, TransferSpec, build_kb,
                        save_kb)
 
 
-def _prescan_config(argv):
-    values = {}
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
-        if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line and not line.startswith("#") and "=" in line:
-                        key, value = line.split("=", 1)
-                        values[key.strip()] = value.strip()
-    return values
-
-
-def _parse_bool(value):
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise TopicxferError(f"expected a boolean, got {value!r}")
-
-
 class _Options:
     """Registers flags whose defaults can come from the --config file."""
 
-    def __init__(self, parser, config_values):
+    def __init__(self, parser):
         self.parser = parser
-        self.config = config_values
+        self.casts = {}  # config key -> (argparse dest, value parser)
 
     def add(self, flag, key, cast, default, **kwargs):
-        if key in self.config:
-            raw = self.config[key]
-            default = _parse_bool(raw) if cast is bool else cast(raw)
         if cast is bool:
-            self.parser.add_argument(flag, action="store_true", default=default, **kwargs)
+            action = self.parser.add_argument(flag, action="store_true", default=default,
+                                              **kwargs)
+            cast = parse_bool
         else:
-            self.parser.add_argument(flag, type=cast, default=default, **kwargs)
+            action = self.parser.add_argument(flag, type=cast, default=default, **kwargs)
+        self.casts[key] = (action.dest, cast)
 
-
-def _floats(value):
-    return [float(v) for v in value.split()]
+    def load(self, path):
+        """Make the entries of a ``key = value`` file this subcommand's flag defaults."""
+        defaults = {}
+        for key, raw in read_kv(path, error=ConfigError).items():
+            if key not in self.casts:
+                raise ConfigError(f"{path}: {self.parser.prog} has no config key {key!r}")
+            dest, cast = self.casts[key]
+            try:
+                defaults[dest] = cast(raw)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{path}: {key}: {exc}") from None
+        self.parser.set_defaults(**defaults)
 
 
 def _train_config(args):
@@ -265,16 +253,7 @@ def _cmd_experiment(args):
     return 0
 
 
-def _cmd_bench(args):
-    results = benchlib.run_benchmark(
-        n_topics=args.topics, vocab_size=args.vocab, doc_len=args.doc_len,
-        n_docs=args.docs, repeats=args.repeat, seed=args.seed or 0)
-    print(benchlib.format_results(results))
-    return 0
-
-
-def build_parser(argv):
-    config_values = _prescan_config(argv)
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="topicxfer",
         description="Autoregressive topic modeling with multi-view, multi-source transfer")
@@ -282,11 +261,12 @@ def build_parser(argv):
 
     def new_command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        opt = _Options(p)
+        p.set_defaults(fn=fn, options=opt)
         p.add_argument("--seed", type=int, default=None if name == "experiment" else 0)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None)
-        return p, _Options(p, config_values)
+        return p, opt
 
     p, opt = new_command("train", _cmd_train, "train a model on one corpus")
     p.add_argument("--train", required=True)
@@ -321,7 +301,7 @@ def build_parser(argv):
     opt.add("--labeled", "labeled", bool, False)
     opt.add("--window", "coherence_window", int, DEFAULT_WINDOW)
     opt.add("--top-n", "coherence_top_n", int, DEFAULT_TOP_N)
-    opt.add("--fractions", "eval_fractions", _floats, list(DEFAULT_FRACTIONS))
+    opt.add("--fractions", "eval_fractions", parse_floats, list(DEFAULT_FRACTIONS))
 
     p, _ = new_command("topics", _cmd_topics, "print each topic's top words")
     p.add_argument("--model", required=True)
@@ -347,31 +327,27 @@ def build_parser(argv):
     opt.add("--word-concentration", "word_concentration", float, 0.05)
     opt.add("--overlap", "overlap", float, 1.0)
 
-    new_command("experiment", _cmd_experiment, "run a full experiment from a config file")
-
-    p, opt = new_command("bench", _cmd_bench, "compare numba and numpy kernel backends")
-    opt.add("--topics", "topics", int, 50)
-    opt.add("--vocab", "vocab", int, 2000)
-    opt.add("--doc-len", "doc_len", int, 80)
-    opt.add("--docs", "docs", int, 40)
-    opt.add("--repeat", "repeat", int, 3)
+    p, _ = new_command("experiment", _cmd_experiment, "run a full experiment from a config file")
+    # its --config is the experiment file, which parse_config reads and checks
+    p.set_defaults(options=None)
 
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.config and args.options is not None:
+            args.options.load(args.config)
+            # parse again so the file's values become defaults and explicit flags win
+            args = parser.parse_args(argv)
         return args.fn(args)
-    except TopicxferError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TopicxferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Shared on-disk formats: matrix files and key=value metadata files.
+"""Shared on-disk formats: matrix files and key=value files (metadata, configs).
 
 Matrix format: first line ``rows cols``, then ``rows`` lines of ``cols``
 space-separated decimals printed with 17 significant digits.
@@ -6,7 +6,7 @@ space-separated decimals printed with 17 significant digits.
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 
 
 def format_float(x):
@@ -58,7 +58,11 @@ def write_kv(path, items):
             fh.write(f"{key}={value}\n")
 
 
-def read_kv(path):
+def read_kv(path, error=CorpusError):
+    """Read ``key = value`` lines, skipping blanks and ``#`` comments.
+
+    A line without ``=`` raises ``error`` naming the path and line number.
+    """
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -66,7 +70,22 @@ def read_kv(path):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise CorpusError(f"{path}: line {lineno}: expected 'key=value'")
+                raise error(f"{path}: line {lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
+
+
+def parse_bool(value):
+    """The boolean of a ``key = value`` entry: 1/true/yes/on or 0/false/no/off."""
+    lowered = value.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {value!r}")
+
+
+def parse_floats(value):
+    """The float list of a ``key = value`` entry: whitespace-separated numbers."""
+    return [float(v) for v in value.split()]

@@ -19,7 +19,7 @@ from .errors import ConfigError, CorpusError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, coherence, model_vector_fn,
                        perplexity, retrieval_precision)
-from .fileio import format_float
+from .fileio import format_float, parse_bool, parse_floats, read_kv
 from .model import TrainConfig, save_model, train
 from .transfer import (TransferSpec, build_kb, load_kb, make_transfer_context,
                        save_kb)
@@ -76,31 +76,9 @@ class ExperimentConfig:
             raise ConfigError("grid-search modes need a validation split")
 
 
-def _parse_bool(value):
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
-def _parse_floats(value):
-    return [float(v) for v in value.split()]
-
-
 def parse_config(path):
     """Parse an experiment config file into an ExperimentConfig."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            entries[key.strip()] = value.strip()
+    entries = read_kv(path, error=ConfigError)
 
     sources = {}
     plain = {}
@@ -116,7 +94,7 @@ def parse_config(path):
 
     train_keys = {
         "learning_rate": float, "epochs": int, "seed": int, "topics": int,
-        "activation": str, "shuffle_words": _parse_bool, "shuffle_docs": _parse_bool,
+        "activation": str, "shuffle_words": parse_bool, "shuffle_docs": parse_bool,
         "init_scale": float, "patience": int, "momentum": float,
     }
     train_kwargs = {}
@@ -128,12 +106,12 @@ def parse_config(path):
 
     known = {
         "mode": str, "target.train": str, "target.validation": str,
-        "target.test": str, "labeled": _parse_bool, "out": str,
+        "target.test": str, "labeled": parse_bool, "out": str,
         "min_freq": int, "max_vocab": int,
-        "lambda_grid": _parse_floats, "gamma_grid": _parse_floats,
-        "eval_fractions": _parse_floats,
+        "lambda_grid": parse_floats, "gamma_grid": parse_floats,
+        "eval_fractions": parse_floats,
         "coherence_window": int, "coherence_top_n": int, "coherence_reference": str,
-        "gvt_mask_oov": _parse_bool,
+        "gvt_mask_oov": parse_bool,
     }
     values = {}
     for key, value in plain.items():

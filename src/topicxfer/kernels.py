@@ -1,9 +1,7 @@
 """Hot per-document kernels behind the model and the coherence counter.
 
-Each kernel has two interchangeable implementations: a loop version compiled
-with numba's @njit, and a vectorized pure-numpy version.  The active backend
-is picked at import time; set TOPICXFER_NUMBA=0 to force the numpy path (the
-numpy path is also used automatically when numba is not importable).
+All kernels are vectorized numpy: a cumulative sum gives every position's
+pre-activation at once and one GEMM gives every position's logits.
 
 Kernel contracts
 ----------------
@@ -12,7 +10,8 @@ doc_forward(doc, W, U, b, c, lvt, use_lvt, act)
     lvt : (H, K) combined transfer-embedding matrix (ignored when use_lvt=0;
           pass an empty (0, 0) array)
     act : ACT_SIGMOID or ACT_TANH
-    returns (logps (D,), hidden (D, H), final_pre_activation (H,))
+    returns (logps (D,), hidden (D, H) as a transposed view,
+             final_pre_activation (H,))
 
 doc_grads(...) same inputs, returns
     (logps (D,), dw_cols (D, H), dU (K, H), db (K,), dc (H,))
@@ -26,161 +25,24 @@ window_counts(doc, n_tracked, window)
     symmetric with zero diagonal, n_windows).
 """
 
-import os
-
 import numpy as np
 
 ACT_SIGMOID = 0
 ACT_TANH = 1
 
-_want = os.environ.get("TOPICXFER_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _want not in ("0", "false", "no", "off")
+# the one kernel implementation; benchmark records name it
+BACKEND = "numpy"
 
-NUMBA_AVAILABLE = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
+EMPTY_LVT = np.zeros((0, 0))
 
 
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compiled when available)
-# ---------------------------------------------------------------------------
-
-def _hidden_states_loop(doc, W, c, lvt, use_lvt, act):
-    """Sequential pre-activation pass; returns per-position hidden states (D, H)
-    and the post-document pre-activation."""
-    D = doc.shape[0]
-    H = c.shape[0]
-    a = c.copy()
-    hidden = np.empty((D, H))
-    for i in range(D):
-        for j in range(H):
-            if act == ACT_TANH:
-                hidden[i, j] = np.tanh(a[j])
-            else:
-                hidden[i, j] = 1.0 / (1.0 + np.exp(-a[j]))
-        v = doc[i]
-        for j in range(H):
-            a[j] += W[j, v]
-        if use_lvt:
-            for j in range(H):
-                a[j] += lvt[j, v]
-    return hidden, a
-
-
-def _doc_forward_loop(doc, W, U, b, c, lvt, use_lvt, act):
-    D = doc.shape[0]
-    K = b.shape[0]
-    hidden, a = _hidden_states_loop(doc, W, c, lvt, use_lvt, act)
-    logits = np.dot(hidden, U.T.copy())
-    logps = np.empty(D)
-    for i in range(D):
-        m = logits[i, 0] + b[0]
-        for k in range(K):
-            logits[i, k] += b[k]
-            if logits[i, k] > m:
-                m = logits[i, k]
-        z = 0.0
-        for k in range(K):
-            z += np.exp(logits[i, k] - m)
-        v = doc[i]
-        logps[i] = logits[i, v] - m - np.log(z)
-    return logps, hidden, a
-
-
-def _doc_grads_loop(doc, W, U, b, c, lvt, use_lvt, act):
-    D = doc.shape[0]
-    H = c.shape[0]
-    K = b.shape[0]
-    hidden, _ = _hidden_states_loop(doc, W, c, lvt, use_lvt, act)
-    logits = np.dot(hidden, U.T.copy())
-    logps = np.empty(D)
-    dlogits = np.empty((D, K))
-    db = np.zeros(K)
-    for i in range(D):
-        m = logits[i, 0] + b[0]
-        for k in range(K):
-            logits[i, k] += b[k]
-            if logits[i, k] > m:
-                m = logits[i, k]
-        z = 0.0
-        for k in range(K):
-            e = np.exp(logits[i, k] - m)
-            dlogits[i, k] = e
-            z += e
-        v = doc[i]
-        logps[i] = logits[i, v] - m - np.log(z)
-        for k in range(K):
-            dlogits[i, k] /= z
-        dlogits[i, v] -= 1.0
-        for k in range(K):
-            db[k] += dlogits[i, k]
-    dU = np.dot(dlogits.T.copy(), hidden)
-    dh = np.dot(dlogits, U)
-    da = np.empty((D, H))
-    for i in range(D):
-        for j in range(H):
-            h = hidden[i, j]
-            if act == ACT_TANH:
-                da[i, j] = dh[i, j] * (1.0 - h * h)
-            else:
-                da[i, j] = dh[i, j] * h * (1.0 - h)
-    # suffix sums: word at position q feeds pre-activations of positions > q
-    dw_cols = np.zeros((D, H))
-    run = np.zeros(H)
-    for q in range(D - 1, -1, -1):
-        for j in range(H):
-            dw_cols[q, j] = run[j]
-            run[j] += da[q, j]
-    dc = run
-    return logps, dw_cols, dU, db, dc
-
-
-def _window_counts_loop(doc, n_tracked, window):
-    D = doc.shape[0]
-    singles = np.zeros(n_tracked, dtype=np.int64)
-    joints = np.zeros((n_tracked, n_tracked), dtype=np.int64)
-    if D == 0:
-        return singles, joints, 0
-    width = window if window < D else D
-    n_windows = D - width + 1
-    presence = np.zeros(n_tracked, dtype=np.uint8)
-    present = np.empty(n_tracked, dtype=np.int64)
-    for s in range(n_windows):
-        count = 0
-        for t in range(s, s + width):
-            m = doc[t]
-            if m >= 0 and presence[m] == 0:
-                presence[m] = 1
-                present[count] = m
-                count += 1
-        for x in range(count):
-            ix = present[x]
-            singles[ix] += 1
-            for y in range(x + 1, count):
-                iy = present[y]
-                joints[ix, iy] += 1
-                joints[iy, ix] += 1
-        for x in range(count):
-            presence[present[x]] = 0
-    return singles, joints, n_windows
-
-
-# ---------------------------------------------------------------------------
-# vectorized pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _activation_np(pre, act):
+def _activation(pre, act):
     if act == ACT_TANH:
         return np.tanh(pre)
     return 1.0 / (1.0 + np.exp(-pre))
 
 
-def _pre_activations_np(doc, W, c, lvt, use_lvt):
+def _pre_activations(doc, W, c, lvt, use_lvt):
     """Per-position pre-activations (H, D) plus the final one (H,)."""
     cols = W[:, doc]
     if use_lvt:
@@ -193,20 +55,20 @@ def _pre_activations_np(doc, W, c, lvt, use_lvt):
     return pre, pre[:, -1] + cols[:, -1]
 
 
-def _doc_forward_np(doc, W, U, b, c, lvt, use_lvt, act):
-    pre, final = _pre_activations_np(doc, W, c, lvt, use_lvt)
-    hid = _activation_np(pre, act)
+def doc_forward(doc, W, U, b, c, lvt, use_lvt, act):
+    pre, final = _pre_activations(doc, W, c, lvt, use_lvt)
+    hid = _activation(pre, act)
     logits = b[:, None] + U @ hid
     m = logits.max(axis=0)
     lse = m + np.log(np.exp(logits - m).sum(axis=0))
     logps = logits[doc, np.arange(doc.shape[0])] - lse
-    return logps, np.ascontiguousarray(hid.T), final
+    return logps, hid.T, final
 
 
-def _doc_grads_np(doc, W, U, b, c, lvt, use_lvt, act):
+def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
     D = doc.shape[0]
-    pre, _ = _pre_activations_np(doc, W, c, lvt, use_lvt)
-    hid = _activation_np(pre, act)
+    pre, _ = _pre_activations(doc, W, c, lvt, use_lvt)
+    hid = _activation(pre, act)
     logits = b[:, None] + U @ hid
     m = logits.max(axis=0)
     ex = np.exp(logits - m)
@@ -229,7 +91,7 @@ def _doc_grads_np(doc, W, U, b, c, lvt, use_lvt, act):
     return logps, dw_cols, dU, db, dc
 
 
-def _window_counts_np(doc, n_tracked, window):
+def window_counts(doc, n_tracked, window):
     D = doc.shape[0]
     singles = np.zeros(n_tracked, dtype=np.int64)
     joints = np.zeros((n_tracked, n_tracked), dtype=np.int64)
@@ -247,33 +109,3 @@ def _window_counts_np(doc, n_tracked, window):
     np.fill_diagonal(joints, 0)
     return singles, joints, n_windows
 
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "doc_forward": _doc_forward_np,
-        "doc_grads": _doc_grads_np,
-        "window_counts": _window_counts_np,
-    }
-}
-
-if NUMBA_AVAILABLE:
-    # the helper must be compiled before the kernels that call it are typed
-    _hidden_states_loop = njit(cache=True)(_hidden_states_loop)
-    IMPLEMENTATIONS["numba"] = {
-        "doc_forward": njit(cache=True)(_doc_forward_loop),
-        "doc_grads": njit(cache=True)(_doc_grads_loop),
-        "window_counts": njit(cache=True)(_window_counts_loop),
-    }
-    BACKEND = "numba"
-else:
-    BACKEND = "numpy"
-
-doc_forward = IMPLEMENTATIONS[BACKEND]["doc_forward"]
-doc_grads = IMPLEMENTATIONS[BACKEND]["doc_grads"]
-window_counts = IMPLEMENTATIONS[BACKEND]["window_counts"]
-
-EMPTY_LVT = np.zeros((0, 0))

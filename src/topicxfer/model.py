@@ -63,7 +63,10 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """Model parameter set: W (H x K), U (K x H), b (K,), c (H,), alignments A^k."""
+    """Model parameter set: W (H x K), U (K x H), b (K,), c (H,), alignments A^k.
+
+    trained_epochs is the number of epochs the producing train() ran.
+    """
 
     W: np.ndarray
     U: np.ndarray
@@ -71,6 +74,7 @@ class ModelParams:
     c: np.ndarray
     activation: str = "sigmoid"
     alignments: dict[str, np.ndarray] = field(default_factory=dict)
+    trained_epochs: int = 0
 
     def __post_init__(self):
         h, k = self.W.shape
@@ -97,16 +101,15 @@ class ModelParams:
             self.W.copy(), self.U.copy(), self.b.copy(), self.c.copy(),
             activation=self.activation,
             alignments={k: v.copy() for k, v in self.alignments.items()},
+            trained_epochs=self.trained_epochs,
         )
 
 
 @dataclass
 class ForwardTrace:
-    """Per-position hidden states and log-probabilities for one document."""
+    """Per-position log-probabilities for one document."""
 
     log_probs: np.ndarray     # (D,), each <= 0
-    hidden: np.ndarray        # (D, H)
-    pre_activation: np.ndarray  # (H,), after the full document
 
 
 @dataclass
@@ -155,12 +158,12 @@ def _kernel_args(words, params, ctx):
 def forward(doc, params, ctx=None):
     """Autoregressive forward pass over one document (incremental pre-activation)."""
     words, lvt, use_lvt, act = _kernel_args(_doc_words(doc), params, ctx)
-    logps, hidden, final = kernels.doc_forward(
+    logps, _, _ = kernels.doc_forward(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     if not np.isfinite(logps).all():
         pos = int(np.flatnonzero(~np.isfinite(logps))[0])
         raise NumericalError(f"non-finite log-probability at position {pos}")
-    return ForwardTrace(logps, hidden, final)
+    return ForwardTrace(logps)
 
 
 def _doc_words(doc):
@@ -350,14 +353,25 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
 # ---------------------------------------------------------------------------
 
 def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
-    """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments."""
+    """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments.
+
+    Alignment and lvt.mat files left in out_dir by an earlier save that this
+    bundle does not write are removed, so load_model cannot pick them up.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    writes = {f"A.{source_id}.mat" for source_id in params.alignments}
+    if lvt_matrix is not None:
+        writes.add("lvt.mat")
+    for name in os.listdir(out_dir):
+        stale = name == "lvt.mat" or (name.startswith("A.") and name.endswith(".mat"))
+        if stale and name not in writes:
+            os.remove(os.path.join(out_dir, name))
     meta = [
         ("H", params.n_topics),
         ("K", params.vocab_size),
         ("activation", params.activation),
         ("seed", seed),
-        ("trained_epochs", getattr(params, "trained_epochs", 0)),
+        ("trained_epochs", params.trained_epochs),
         ("has_lvt", int(lvt_matrix is not None)),
     ]
     write_kv(os.path.join(out_dir, "meta.txt"), meta)
@@ -387,8 +401,8 @@ def load_model(bundle_dir):
         if name.startswith("A.") and name.endswith(".mat"):
             alignments[name[2:-4]] = read_matrix(os.path.join(bundle_dir, name))
     params = ModelParams(W, U, b, c, activation=meta.get("activation", "sigmoid"),
-                         alignments=alignments)
-    params.trained_epochs = int(meta.get("trained_epochs", 0))
+                         alignments=alignments,
+                         trained_epochs=int(meta.get("trained_epochs", 0)))
     lvt = None
     if int(meta.get("has_lvt", 0)):
         lvt = read_matrix(os.path.join(bundle_dir, "lvt.mat"))

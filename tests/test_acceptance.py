@@ -1,8 +1,7 @@
 """Acceptance suite: one test per release criterion, one printed line each.
 
 The directional experiments (criteria 4, 5, 8) run fully seeded experiments
-through the harness; they are deterministic per kernel backend and were
-verified on both the numba and numpy backends.
+through the harness; the same config and seed give the same outcome.
 """
 
 import itertools

@@ -88,6 +88,13 @@ def test_parse_config_unknown_key(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_malformed_line(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = baseline\ntarget.train a\n")
+    with pytest.raises(ConfigError, match=r"exp\.cfg: line 2"):
+        parse_config(path)
+
+
 def test_parse_config_missing_required(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mode = baseline\ntarget.train = a\nout = o\n")

@@ -1,4 +1,4 @@
-"""Backend equivalence and brute-force oracles for the hot kernels."""
+"""Brute-force oracles for the hot kernels."""
 
 import numpy as np
 import pytest
@@ -45,31 +45,20 @@ def test_forward_matches_naive_recomputation(rng, act, use_lvt):
         assert (logps <= 0).all()
 
 
-def test_backends_agree(rng):
-    impls = kernels.IMPLEMENTATIONS
-    if "numba" not in impls:
-        pytest.skip("numba backend not available")
-    for _ in range(10):
-        h, k, d = rng.integers(1, 6), rng.integers(2, 9), rng.integers(1, 10)
-        doc, W, U, b, c, lvt = _random_instance(rng, h, k, d, lvt=True)
-        for act in (kernels.ACT_SIGMOID, kernels.ACT_TANH):
-            ra = impls["numba"]["doc_grads"](doc, W, U, b, c, lvt, True, act)
-            rb = impls["numpy"]["doc_grads"](doc, W, U, b, c, lvt, True, act)
-            for a, b_ in zip(ra, rb):
-                assert np.abs(a - b_).max() <= 1e-10
-
-
 def test_conditionals_normalize(rng):
-    # explicit summation of the per-position distribution on small K
+    # p(v_i | v_<i) does not depend on v_i, so putting every word of a small
+    # vocabulary at position i enumerates the whole conditional at i
     h, k, d = 3, 5, 4
     doc, W, U, b, c, _ = _random_instance(rng, h, k, d)
-    _, hidden, _ = kernels.doc_forward(doc, W, U, b, c, kernels.EMPTY_LVT, False,
-                                       kernels.ACT_SIGMOID)
     for i in range(d):
-        logits = b + U @ hidden[i]
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        assert abs(probs.sum() - 1.0) <= 1e-12
+        total = 0.0
+        for v in range(k):
+            probe = doc.copy()
+            probe[i] = v
+            logps, _, _ = kernels.doc_forward(probe, W, U, b, c, kernels.EMPTY_LVT,
+                                              False, kernels.ACT_SIGMOID)
+            total += np.exp(logps[i])
+        assert abs(total - 1.0) <= 1e-12
 
 
 def test_uniform_model_logprobs():
