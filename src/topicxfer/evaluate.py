@@ -209,8 +209,13 @@ def retrieval_precision(train, queries, vector_fn, fractions=DEFAULT_FRACTIONS):
         raise ValueError("fractions must lie in (0, 1]")
     train_vecs = np.stack([vector_fn(doc) for doc in train.documents])
     query_vecs = np.stack([vector_fn(doc) for doc in queries.documents])
-    train_labels = [train.label_of(doc) for doc in train.documents]
-    query_labels = [queries.label_of(doc) for doc in queries.documents]
+    # each corpus numbers its own labels, so match through the label strings;
+    # a query label the pool lacks gets -1, which no pool document carries
+    label_ids = {}
+    train_labels = np.array([label_ids.setdefault(train.label_of(doc), len(label_ids))
+                             for doc in train.documents])
+    query_labels = np.array([label_ids.get(queries.label_of(doc), -1)
+                             for doc in queries.documents])
 
     t_norm = np.linalg.norm(train_vecs, axis=1)
     q_norm = np.linalg.norm(query_vecs, axis=1)
@@ -226,8 +231,7 @@ def retrieval_precision(train, queries, vector_fn, fractions=DEFAULT_FRACTIONS):
     idx = np.arange(n_train)
     for qi in range(len(queries)):
         order = np.lexsort((idx, -sims[qi]))
-        matches = np.array([train_labels[t] == query_labels[qi] for t in order])
-        hit_prefix = np.cumsum(matches)
+        hit_prefix = np.cumsum(train_labels[order] == query_labels[qi])
         for fi, cnt in enumerate(counts):
             sums[fi] += hit_prefix[cnt - 1] / cnt
     return [(f, float(sums[fi] / len(queries))) for fi, f in enumerate(fractions)]

@@ -1,7 +1,9 @@
 """Hot per-document kernels behind the model and the coherence counter.
 
 All kernels are vectorized numpy: a cumulative sum gives every position's
-pre-activation at once and one GEMM gives every position's logits.
+pre-activation at once and one GEMM gives every position's logits.  The
+softmax then works in place on that (K, D) logits block; no kernel writes to
+its inputs.
 
 Kernel contracts
 ----------------
@@ -55,26 +57,37 @@ def _pre_activations(doc, W, c, lvt, use_lvt):
     return pre, pre[:, -1] + cols[:, -1]
 
 
+def _shifted_exp(doc, U, b, hid):
+    """Picked logits (D,), column maxima m (D,) and exp(logits - m) (K, D).
+
+    The exponentials overwrite the logits block in place; the picked logits
+    are gathered before that.
+    """
+    logits = U @ hid
+    logits += b[:, None]
+    picked = logits[doc, np.arange(doc.shape[0])]
+    m = logits.max(axis=0)
+    logits -= m
+    np.exp(logits, out=logits)
+    return picked, m, logits
+
+
 def doc_forward(doc, W, U, b, c, lvt, use_lvt, act):
     pre, final = _pre_activations(doc, W, c, lvt, use_lvt)
     hid = _activation(pre, act)
-    logits = b[:, None] + U @ hid
-    m = logits.max(axis=0)
-    lse = m + np.log(np.exp(logits - m).sum(axis=0))
-    logps = logits[doc, np.arange(doc.shape[0])] - lse
-    return logps, hid.T, final
+    picked, m, ex = _shifted_exp(doc, U, b, hid)
+    lse = m + np.log(ex.sum(axis=0))
+    return picked - lse, hid.T, final
 
 
 def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
     D = doc.shape[0]
     pre, _ = _pre_activations(doc, W, c, lvt, use_lvt)
     hid = _activation(pre, act)
-    logits = b[:, None] + U @ hid
-    m = logits.max(axis=0)
-    ex = np.exp(logits - m)
-    z = ex.sum(axis=0)
-    logps = logits[doc, np.arange(D)] - m - np.log(z)
-    dlogits = ex / z
+    picked, m, dlogits = _shifted_exp(doc, U, b, hid)
+    z = dlogits.sum(axis=0)
+    logps = picked - m - np.log(z)
+    dlogits /= z
     dlogits[doc, np.arange(D)] -= 1.0
     db = dlogits.sum(axis=1)
     dU = dlogits @ hid.T

@@ -199,7 +199,7 @@ def gradients(doc, params, ctx=None):
     if ctx is not None and ctx.gvt_enabled:
         from .transfer import gvt_gradients
 
-        gW, gA = gvt_gradients(params.W, ctx, alignments=params.alignments)
+        _, gW, gA = gvt_gradients(params.W, ctx, alignments=params.alignments)
         grads.W += gW
         grads.alignments = gA
     return grads
@@ -282,10 +282,11 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
             doc_loss = -logps.sum()
             gvt_grads = None
             if gvt_on:
-                from .transfer import gvt_gradients, gvt_penalty
+                from .transfer import gvt_gradients
 
-                doc_loss += gvt_penalty(params.W, ctx, alignments=params.alignments)
-                gvt_grads = gvt_gradients(params.W, ctx, alignments=params.alignments)
+                penalty, *gvt_grads = gvt_gradients(
+                    params.W, ctx, alignments=params.alignments)
+                doc_loss += penalty
             if not np.isfinite(doc_loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch}, document {di}")
@@ -314,8 +315,9 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
                         vel.alignments[sid] += dA
                         params.alignments[sid] -= lr * vel.alignments[sid]
             else:
-                for q in range(words.size):
-                    params.W[:, words[q]] -= lr * dw_cols[q]
+                # unbuffered, in position order: a repeated word's updates
+                # land one after another, as a per-word loop would apply them
+                np.subtract.at(params.W.T, words, lr * dw_cols)
                 params.U -= lr * dU
                 params.b -= lr * db
                 params.c -= lr * dc

@@ -265,15 +265,21 @@ def gvt_penalty(W, ctx, alignments=None):
 
 
 def gvt_gradients(W, ctx, alignments=None):
-    """Gradients of gvt_penalty: (d/dW, {source_id: d/dA^k})."""
+    """gvt_penalty and its gradients from one residual per source.
+
+    Returns (penalty, d/dW, {source_id: d/dA^k}); the penalty is bit-equal to
+    gvt_penalty(W, ctx, alignments).
+    """
     if not ctx.gvt_enabled:
         raise ConfigError("global-view transfer is not enabled in this context")
+    total = 0.0
     dW = np.zeros_like(W)
     dA = {}
     for source_id, gamma, R, A in _residuals(W, ctx, alignments):
+        total += gamma * float((R * R).sum())
         dW += 2.0 * gamma * (A.T @ R)
         dA[source_id] = 2.0 * gamma * (R @ W.T)
-    return dW, dA
+    return total, dW, dA
 
 
 def gvt_residual_norms(W, ctx, alignments=None):

@@ -320,6 +320,37 @@ def test_retrieval_matches_brute_force_oracle(rng):
         assert got[fi][1] == pytest.approx(float(np.mean(per_query)), abs=1e-12)
 
 
+def test_retrieval_matches_labels_by_name_across_corpora(rng):
+    # pool and queries number their labels differently, and the query label
+    # "z" does not occur in the pool at all
+    train_labels = ["b", "a", "c", "a", "b", "c", "a", "b"]
+    query_labels = ["a", "z", "c", "b"]
+    train_vecs = rng.normal(size=(8, 3))
+    query_vecs = rng.normal(size=(4, 3))
+    train_names, query_names = ["c", "a", "b"], ["z", "b", "a", "c"]
+    lookup = {}
+
+    def corpus(vecs, labels, names, split):
+        docs = [Document(np.array([0]), names.index(lab)) for lab in labels]
+        lookup.update({id(doc): vec for doc, vec in zip(docs, vecs)})
+        return Corpus(make_vocab(1), docs, label_names=names, split=split)
+
+    train = corpus(train_vecs, train_labels, train_names, "train")
+    queries = corpus(query_vecs, query_labels, query_names, "test")
+    fractions = [0.25, 0.5, 1.0]
+    got = retrieval_precision(train, queries, lambda doc: lookup[id(doc)], fractions)
+
+    sims = (query_vecs / np.linalg.norm(query_vecs, axis=1)[:, None]) @ (
+        train_vecs / np.linalg.norm(train_vecs, axis=1)[:, None]).T
+    for fi, f in enumerate(fractions):
+        m = math.ceil(f * 8)
+        per_query = []
+        for qi in range(4):
+            top = sorted(range(8), key=lambda t: (-sims[qi, t], t))[:m]
+            per_query.append(sum(train_labels[t] == query_labels[qi] for t in top) / m)
+        assert got[fi] == (f, pytest.approx(float(np.mean(per_query)), abs=1e-12))
+
+
 def test_retrieval_fraction_one_equals_label_frequency(rng):
     labels = ["a", "a", "b", "c", "b", "a"]
     train, queries, fn = vectors_fixture(

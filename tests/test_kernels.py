@@ -77,6 +77,33 @@ def test_last_word_gets_no_column_gradient(rng):
     assert np.all(dw_cols[-1] == 0.0)
 
 
+@pytest.mark.parametrize("act", [kernels.ACT_SIGMOID, kernels.ACT_TANH])
+@pytest.mark.parametrize("use_lvt", [False, True])
+def test_in_place_log_softmax_keeps_inputs_and_bits(rng, act, use_lvt):
+    # the log-softmax works in place on the kernels' own logits block only,
+    # and gives the bits of the allocating form it replaced
+    doc, W, U, b, c, lvt = _random_instance(rng, 4, 7, 9, lvt=use_lvt)
+    inputs = (W, U, b, c, lvt)
+    before = [arr.copy() for arr in inputs]
+    fwd, hidden, _ = kernels.doc_forward(doc, W, U, b, c, lvt, use_lvt, act)
+    grad, _, _, db, _ = kernels.doc_grads(doc, W, U, b, c, lvt, use_lvt, act)
+    for arr, saved in zip(inputs, before):
+        assert np.array_equal(arr, saved)
+
+    logits = b[:, None] + U @ hidden.T
+    m = logits.max(axis=0)
+    ex = np.exp(logits - m)
+    z = ex.sum(axis=0)
+    picked = logits[doc, np.arange(doc.size)]
+    dlogits = ex / z
+    dlogits[doc, np.arange(doc.size)] -= 1.0
+    assert np.array_equal(fwd, picked - (m + np.log(z)))
+    assert np.array_equal(grad, picked - m - np.log(z))
+    assert np.array_equal(db, dlogits.sum(axis=1))
+    # the two kernels round the normaliser differently, so agree to an ulp or so
+    assert np.abs(fwd - grad).max() <= 1e-14
+
+
 def _brute_force_windows(doc, n_tracked, window):
     """Oracle: enumerate every window explicitly."""
     d = len(doc)

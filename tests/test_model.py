@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import make_vocab, random_doc
-from topicxfer.corpus import Corpus, Document
+from topicxfer import kernels
+from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.model import (ForwardTrace, ModelParams, TrainConfig,
                              document_vector, ensure_alignments, forward,
                              gradients, init_params, load_model, log_likelihood,
                              loss, save_model, train)
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
-                                make_transfer_context)
+                                gvt_gradients, gvt_penalty, make_transfer_context)
 
 
 def zero_params(h, k, activation="sigmoid"):
@@ -253,12 +254,79 @@ def test_early_stopping_returns_best_epoch(rng):
     assert perplexity(params, validation) == pytest.approx(best, rel=1e-12)
 
 
-def test_momentum_zero_matches_plain_sgd(rng):
+def test_tiny_momentum_matches_plain_sgd(rng):
+    # momentum > 0 takes the dense velocity branch; a vanishing momentum must
+    # land where the plain per-document step does
     corpus = _tiny_corpus(rng)
-    a, _ = train(corpus, TrainConfig(learning_rate=0.05, epochs=3, seed=5, n_topics=2))
-    b, _ = train(corpus, TrainConfig(learning_rate=0.05, epochs=3, seed=5, n_topics=2,
-                                     momentum=0.0))
-    assert np.array_equal(a.W, b.W)
+    ctx = make_ctx(rng, 2, 6)
+    cfg = dict(learning_rate=0.05, epochs=3, seed=5, n_topics=2)
+    a, _ = train(corpus, TrainConfig(**cfg), ctx)
+    b, _ = train(corpus, TrainConfig(**cfg, momentum=1e-12), ctx)
+    for x, y in ((a.W, b.W), (a.U, b.U), (a.b, b.b), (a.c, b.c),
+                 (a.alignments["s0"], b.alignments["s0"])):
+        assert np.allclose(x, y)
+
+
+def _reference_train(corpus, cfg, ctx):
+    """Plain-SGD train() with LVT+GVT as it was before the step was vectorized.
+
+    One W column update per word in position order, and the penalty from its
+    own gvt_penalty call next to gvt_gradients.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    h, k = cfg.n_topics, len(corpus.vocabulary)
+    W = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(h, k))
+    U = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(k, h))
+    b, c = np.zeros(k), np.zeros(h)
+    alignments = {sid: np.eye(h) for sid in ctx.gvt_source_ids()}
+    act = kernels.ACT_TANH if cfg.activation == "tanh" else kernels.ACT_SIGMOID
+    lr = cfg.learning_rate
+    losses = []
+    for _ in range(cfg.epochs):
+        total = 0.0
+        for di in rng.permutation(len(corpus)):
+            words = corpus.documents[di].words
+            words = np.ascontiguousarray(words[rng.permutation(words.size)], dtype=np.int64)
+            logps, dw_cols, dU, db, dc = kernels.doc_grads(
+                words, W, U, b, c, ctx.lvt_matrix, True, act)
+            doc_loss = -logps.sum()
+            doc_loss += gvt_penalty(W, ctx, alignments=alignments)
+            _, gW, gA = gvt_gradients(W, ctx, alignments=alignments)
+            total += doc_loss
+            for q in range(words.size):
+                W[:, words[q]] -= lr * dw_cols[q]
+            U -= lr * dU
+            b -= lr * db
+            c -= lr * dc
+            W -= lr * gW
+            for sid, dA in gA.items():
+                alignments[sid] -= lr * dA
+        losses.append(total / len(corpus))
+    return W, U, b, c, alignments, losses
+
+
+@pytest.mark.parametrize("mask_oov", [False, True])
+def test_train_step_is_bit_identical_to_reference(rng, mask_oov):
+    k, h = 6, 3
+    vocab = make_vocab(k)
+    # ten-word documents over six words: every document repeats words
+    docs = [Document(rng.integers(0, k, size=10)) for _ in range(7)]
+    corpus = Corpus(vocab, docs)
+    kbs = [KnowledgeBase(sid, Vocabulary(tokens), rng.normal(size=(h, len(tokens))),
+                         rng.normal(size=(h, len(tokens))))
+           for sid, tokens in (("s0", ["w0", "w1", "w2", "w5"]), ("s1", ["w1", "w3", "w4"]))]
+    spec = TransferSpec([SourceWeight("s0", 0.4, 0.2), SourceWeight("s1", 0.3, 0.1)],
+                        lvt_enabled=True, gvt_enabled=True, gvt_mask_oov=mask_oov)
+    ctx = make_transfer_context(kbs, vocab, spec, h)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, seed=11, n_topics=h, init_scale=0.3)
+    params, stats = train(corpus, cfg, ctx)
+    W, U, b, c, alignments, losses = _reference_train(corpus, cfg, ctx)
+    for got, want in ((params.W, W), (params.U, U), (params.b, b), (params.c, c)):
+        assert np.array_equal(got, want)
+    assert params.alignments.keys() == alignments.keys()
+    for sid in alignments:
+        assert np.array_equal(params.alignments[sid], alignments[sid])
+    assert [s.train_loss for s in stats] == losses
 
 
 def test_train_with_momentum_runs(rng):

@@ -193,7 +193,7 @@ def test_gvt_penalty_invariant_under_column_permutation(rng):
 
 def test_gvt_gradients_zero_residual(rng):
     kb, ctx = gvt_ctx(rng, 2, 4)
-    dW, dA = gvt_gradients(kb.topics, ctx)
+    _, dW, dA = gvt_gradients(kb.topics, ctx)
     assert np.all(dW == 0.0)
     assert np.all(dA["s"] == 0.0)
 
@@ -202,7 +202,7 @@ def test_gvt_gradients_match_finite_differences(rng):
     kb, ctx = gvt_ctx(rng, 3, 4, gamma=0.6)
     W = rng.normal(size=(3, 4))
     A = rng.normal(size=(3, 3))
-    dW, dA = gvt_gradients(W, ctx, alignments={"s": A})
+    _, dW, dA = gvt_gradients(W, ctx, alignments={"s": A})
     eps = 1e-6
     for arr, grad in ((W, dW), (A, dA["s"])):
         for idx in np.ndindex(arr.shape):
@@ -214,6 +214,20 @@ def test_gvt_gradients_match_finite_differences(rng):
             arr[idx] = old
             fd = (up - down) / (2 * eps)
             assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_gvt_gradients_penalty_is_bit_equal_to_gvt_penalty(rng, mask):
+    target = Vocabulary(["a", "b", "c", "d", "e"])
+    kbs = [random_kb(rng, "s0", 3, ["a", "b", "e"]), random_kb(rng, "s1", 3, ["b", "c", "d"])]
+    spec = TransferSpec([SourceWeight("s0", gamma=0.7), SourceWeight("s1", gamma=0.2)],
+                        gvt_enabled=True, gvt_mask_oov=mask)
+    ctx = make_transfer_context(kbs, target, spec, 3)
+    W = rng.normal(size=(3, 5))
+    alignments = {"s0": rng.normal(size=(3, 3)), "s1": rng.normal(size=(3, 3))}
+    penalty, _, dA = gvt_gradients(W, ctx, alignments=alignments)
+    assert penalty == gvt_penalty(W, ctx, alignments=alignments)
+    assert sorted(dA) == ["s0", "s1"]
 
 
 def test_gvt_mask_oov_excludes_uncovered_columns(rng):
