@@ -19,7 +19,7 @@ from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, coherence, model_vector_fn,
                        nearest_neighbors, perplexity, retrieval_precision)
-from .fileio import parse_bool, parse_floats, read_kv
+from .fileio import parse_bool, parse_entry, parse_floats, read_kv
 from .harness import parse_config, run_experiment
 from .model import TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -51,10 +51,7 @@ class _Options:
             if key not in self.casts:
                 raise ConfigError(f"{path}: {self.parser.prog} has no config key {key!r}")
             dest, cast = self.casts[key]
-            try:
-                defaults[dest] = cast(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}: {key}: {exc}") from None
+            defaults[dest] = parse_entry(path, key, raw, cast)
         self.parser.set_defaults(**defaults)
 
 
@@ -64,8 +61,7 @@ def _train_config(args):
         n_topics=args.topics, activation=args.activation,
         shuffle_words=not args.no_shuffle_words,
         shuffle_docs=not args.no_shuffle_docs,
-        init_scale=args.init_scale, validation_patience=args.patience,
-        momentum=args.momentum)
+        init_scale=args.init_scale, validation_patience=args.patience)
 
 
 def _add_train_flags(opt):
@@ -75,7 +71,6 @@ def _add_train_flags(opt):
     opt.add("--activation", "activation", str, "sigmoid")
     opt.add("--init-scale", "init_scale", float, 0.01)
     opt.add("--patience", "patience", int, 10)
-    opt.add("--momentum", "momentum", float, 0.0)
     opt.add("--no-shuffle-words", "no_shuffle_words", bool, False)
     opt.add("--no-shuffle-docs", "no_shuffle_docs", bool, False)
     opt.add("--min-freq", "min_freq", int, 1)

@@ -76,6 +76,17 @@ def read_kv(path, error=CorpusError):
     return out
 
 
+def parse_entry(path, key, raw, cast):
+    """cast(raw) for the entry ``key`` of the ``key = value`` file ``path``.
+
+    A value cast rejects raises a one-line ConfigError naming the file and key.
+    """
+    try:
+        return cast(raw)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {key}: {exc}") from None
+
+
 def parse_bool(value):
     """The boolean of a ``key = value`` entry: 1/true/yes/on or 0/false/no/off."""
     lowered = value.strip().lower()

@@ -19,7 +19,7 @@ from .errors import ConfigError, CorpusError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, coherence, model_vector_fn,
                        perplexity, retrieval_precision)
-from .fileio import format_float, parse_bool, parse_floats, read_kv
+from .fileio import format_float, parse_bool, parse_entry, parse_floats, read_kv
 from .model import TrainConfig, save_model, train
 from .transfer import (TransferSpec, build_kb, load_kb, make_transfer_context,
                        save_kb)
@@ -95,12 +95,12 @@ def parse_config(path):
     train_keys = {
         "learning_rate": float, "epochs": int, "seed": int, "topics": int,
         "activation": str, "shuffle_words": parse_bool, "shuffle_docs": parse_bool,
-        "init_scale": float, "patience": int, "momentum": float,
+        "init_scale": float, "patience": int,
     }
     train_kwargs = {}
     for key, cast in train_keys.items():
         if key in plain:
-            value = cast(plain.pop(key))
+            value = parse_entry(path, key, plain.pop(key), cast)
             field_name = {"topics": "n_topics", "patience": "validation_patience"}.get(key, key)
             train_kwargs[field_name] = value
 
@@ -117,7 +117,7 @@ def parse_config(path):
     for key, value in plain.items():
         if key not in known:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        values[key] = known[key](value)
+        values[key] = parse_entry(path, key, value, known[key])
     for required in ("mode", "target.train", "target.test", "out"):
         if required not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
@@ -128,12 +128,14 @@ def parse_config(path):
         unknown = set(attrs) - {"corpus", "kb", "lambda", "gamma"}
         if unknown:
             raise ConfigError(f"{path}: unknown source key(s) {sorted(unknown)} for {sid!r}")
+        weights = {attr: parse_entry(path, f"source.{sid}.{attr}", attrs[attr], float)
+                   for attr in ("lambda", "gamma") if attr in attrs}
         source_configs.append(SourceConfig(
             sid,
             corpus_path=attrs.get("corpus"),
             kb_path=attrs.get("kb"),
-            lam_override=float(attrs["lambda"]) if "lambda" in attrs else None,
-            gamma_override=float(attrs["gamma"]) if "gamma" in attrs else None,
+            lam_override=weights.get("lambda"),
+            gamma_override=weights.get("gamma"),
         ))
 
     return ExperimentConfig(
@@ -231,7 +233,7 @@ def _fingerprint(config, selected_weights, lvt_on, gvt_on):
         "train="
         f"{tc.learning_rate},{tc.epochs},{tc.seed},{tc.n_topics},{tc.activation},"
         f"{tc.shuffle_words},{tc.shuffle_docs},{tc.init_scale},"
-        f"{tc.validation_patience},{tc.momentum}")
+        f"{tc.validation_patience}")
     if config.mode in ("zero-shot", "data-augment"):
         for src in config.sources:
             lines.append(f"union_source={src.source_id},{src.corpus_path}")

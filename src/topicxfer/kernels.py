@@ -3,7 +3,8 @@
 All kernels are vectorized numpy: a cumulative sum gives every position's
 pre-activation at once and one GEMM gives every position's logits.  The
 softmax then works in place on that (K, D) logits block; no kernel writes to
-its inputs.
+its inputs.  Both kernels take their log-probabilities from one log-softmax,
+so doc_forward and doc_grads give bit-equal logps for the same inputs.
 
 Kernel contracts
 ----------------
@@ -58,10 +59,11 @@ def _pre_activations(doc, W, c, lvt, use_lvt):
 
 
 def _shifted_exp(doc, U, b, hid):
-    """Picked logits (D,), column maxima m (D,) and exp(logits - m) (K, D).
+    """Picked log-probabilities (D,), exp(logits - m) (K, D) and its column sums z (D,).
 
-    The exponentials overwrite the logits block in place; the picked logits
-    are gathered before that.
+    m is the column maximum of the logits.  The exponentials overwrite the
+    logits block in place; the picked logits are gathered before that.  The
+    one log-softmax form, picked - (m + log z), serves both kernels.
     """
     logits = U @ hid
     logits += b[:, None]
@@ -69,24 +71,22 @@ def _shifted_exp(doc, U, b, hid):
     m = logits.max(axis=0)
     logits -= m
     np.exp(logits, out=logits)
-    return picked, m, logits
+    z = logits.sum(axis=0)
+    return picked - (m + np.log(z)), logits, z
 
 
 def doc_forward(doc, W, U, b, c, lvt, use_lvt, act):
     pre, final = _pre_activations(doc, W, c, lvt, use_lvt)
     hid = _activation(pre, act)
-    picked, m, ex = _shifted_exp(doc, U, b, hid)
-    lse = m + np.log(ex.sum(axis=0))
-    return picked - lse, hid.T, final
+    logps, _, _ = _shifted_exp(doc, U, b, hid)
+    return logps, hid.T, final
 
 
 def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
     D = doc.shape[0]
     pre, _ = _pre_activations(doc, W, c, lvt, use_lvt)
     hid = _activation(pre, act)
-    picked, m, dlogits = _shifted_exp(doc, U, b, hid)
-    z = dlogits.sum(axis=0)
-    logps = picked - m - np.log(z)
+    logps, dlogits, z = _shifted_exp(doc, U, b, hid)
     dlogits /= z
     dlogits[doc, np.arange(D)] -= 1.0
     db = dlogits.sum(axis=1)

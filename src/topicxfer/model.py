@@ -17,7 +17,8 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, CorpusError, NumericalError
-from .fileio import read_kv, read_matrix, read_vector, write_kv, write_matrix
+from .fileio import (parse_entry, read_kv, read_matrix, read_vector, write_kv,
+                     write_matrix)
 
 ACTIVATIONS = ("sigmoid", "tanh")
 
@@ -43,7 +44,6 @@ class TrainConfig:
     shuffle_docs: bool = True
     init_scale: float = 0.01
     validation_patience: int = 10
-    momentum: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -56,8 +56,6 @@ class TrainConfig:
             raise ConfigError("init_scale must be >= 0")
         if self.validation_patience < 1:
             raise ConfigError("validation_patience must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)")
         _act_code(self.activation)
 
 
@@ -185,23 +183,38 @@ def loss(doc, params, ctx=None):
     return value
 
 
-def gradients(doc, params, ctx=None):
-    """Exact gradients of loss() with respect to W, U, b, c and each alignment A^k."""
-    words, lvt, use_lvt, act = _kernel_args(_doc_words(doc), params, ctx)
+def _doc_step(params, ctx, words, lvt, use_lvt, act):
+    """Loss and gradients of one document: the step train() and gradients() share.
+
+    Returns (loss, dw_cols, dU, db, dc, gvt).  dw_cols[q] is the gradient of
+    the W column of words[q]; gvt is (dW, {source_id: dA}) of the alignment
+    penalty, which loss includes, or None without global transfer.
+    """
     logps, dw_cols, dU, db, dc = kernels.doc_grads(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
-    if not np.isfinite(logps).all():
-        pos = int(np.flatnonzero(~np.isfinite(logps))[0])
-        raise NumericalError(f"non-finite log-probability at position {pos}")
-    dW = np.zeros_like(params.W)
-    np.add.at(dW.T, words, dw_cols)
-    grads = Gradients(dW, dU, db, dc)
+    doc_loss = -logps.sum()
+    gvt = None
     if ctx is not None and ctx.gvt_enabled:
         from .transfer import gvt_gradients
 
-        _, gW, gA = gvt_gradients(params.W, ctx, alignments=params.alignments)
-        grads.W += gW
-        grads.alignments = gA
+        penalty, dW, dA = gvt_gradients(params.W, ctx, alignments=params.alignments)
+        doc_loss += penalty
+        gvt = (dW, dA)
+    return doc_loss, dw_cols, dU, db, dc, gvt
+
+
+def gradients(doc, params, ctx=None):
+    """Exact gradients of loss() with respect to W, U, b, c and each alignment A^k."""
+    words, lvt, use_lvt, act = _kernel_args(_doc_words(doc), params, ctx)
+    doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(params, ctx, words, lvt, use_lvt, act)
+    if not np.isfinite(doc_loss):
+        raise NumericalError("non-finite loss")
+    dW = np.zeros_like(params.W)
+    np.add.at(dW.T, words, dw_cols)
+    grads = Gradients(dW, dU, db, dc)
+    if gvt is not None:
+        grads.W += gvt[0]
+        grads.alignments = gvt[1]
     return grads
 
 
@@ -237,7 +250,7 @@ def ensure_alignments(params, ctx):
             params.alignments[source_id] = np.eye(params.n_topics)
 
 
-def train(corpus, config, ctx=None, validation=None, callback=None):
+def train(corpus, config, ctx=None, validation=None):
     """Per-document SGD over the corpus.
 
     Returns (params, stats) where stats is the per-epoch metrics log.  With a
@@ -258,11 +271,6 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
     lvt = ctx.lvt_matrix if lvt_on else kernels.EMPTY_LVT
     act = _act_code(config.activation)
     lr = config.learning_rate
-    use_momentum = config.momentum > 0.0
-    if use_momentum:
-        vel = Gradients(np.zeros_like(params.W), np.zeros_like(params.U),
-                        np.zeros_like(params.b), np.zeros_like(params.c),
-                        {k: np.zeros_like(a) for k, a in params.alignments.items()})
 
     stats = []
     best_params = None
@@ -277,54 +285,24 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
             if config.shuffle_words:
                 words = words[rng.permutation(words.size)]
             words = np.ascontiguousarray(words, dtype=np.int64)
-            logps, dw_cols, dU, db, dc = kernels.doc_grads(
-                words, params.W, params.U, params.b, params.c, lvt, lvt_on, act)
-            doc_loss = -logps.sum()
-            gvt_grads = None
-            if gvt_on:
-                from .transfer import gvt_gradients
-
-                penalty, *gvt_grads = gvt_gradients(
-                    params.W, ctx, alignments=params.alignments)
-                doc_loss += penalty
+            doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(
+                params, ctx, words, lvt, lvt_on, act)
             if not np.isfinite(doc_loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch}, document {di}")
             total_loss += doc_loss
 
-            if use_momentum:
-                dW = np.zeros_like(params.W)
-                np.add.at(dW.T, words, dw_cols)
-                if gvt_grads is not None:
-                    dW += gvt_grads[0]
-                vel.W *= config.momentum
-                vel.W += dW
-                vel.U *= config.momentum
-                vel.U += dU
-                vel.b *= config.momentum
-                vel.b += db
-                vel.c *= config.momentum
-                vel.c += dc
-                params.W -= lr * vel.W
-                params.U -= lr * vel.U
-                params.b -= lr * vel.b
-                params.c -= lr * vel.c
-                if gvt_grads is not None:
-                    for sid, dA in gvt_grads[1].items():
-                        vel.alignments[sid] *= config.momentum
-                        vel.alignments[sid] += dA
-                        params.alignments[sid] -= lr * vel.alignments[sid]
-            else:
-                # unbuffered, in position order: a repeated word's updates
-                # land one after another, as a per-word loop would apply them
-                np.subtract.at(params.W.T, words, lr * dw_cols)
-                params.U -= lr * dU
-                params.b -= lr * db
-                params.c -= lr * dc
-                if gvt_grads is not None:
-                    params.W -= lr * gvt_grads[0]
-                    for sid, dA in gvt_grads[1].items():
-                        params.alignments[sid] -= lr * dA
+            # unbuffered, in position order: a repeated word's updates land
+            # one after another, as a per-word loop would apply them
+            np.subtract.at(params.W.T, words, lr * dw_cols)
+            params.U -= lr * dU
+            params.b -= lr * db
+            params.c -= lr * dc
+            if gvt is not None:
+                dW, dA = gvt
+                params.W -= lr * dW
+                for sid, grad in dA.items():
+                    params.alignments[sid] -= lr * grad
 
         entry = EpochStats(epoch, total_loss / len(corpus))
         if gvt_on:
@@ -334,8 +312,6 @@ def train(corpus, config, ctx=None, validation=None, callback=None):
         if validation is not None:
             entry.validation_ppl = _corpus_ppl(validation, params, ctx)
         stats.append(entry)
-        if callback is not None:
-            callback(entry)
         epochs_run = epoch + 1
         if validation is not None:
             if entry.validation_ppl < best_ppl:
@@ -389,25 +365,42 @@ def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
 
 
 def load_model(bundle_dir):
-    """Load a model bundle.  Returns (params, vocabulary, meta, lvt_matrix or None)."""
+    """Load a model bundle.  Returns (params, vocabulary, meta, lvt_matrix or None).
+
+    meta.txt's H and K, lvt.mat and every A.*.mat must agree with W's shape.
+    """
     from .corpus import Vocabulary
 
-    meta = read_kv(os.path.join(bundle_dir, "meta.txt"))
+    meta_path = os.path.join(bundle_dir, "meta.txt")
+    meta = read_kv(meta_path)
     vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
     W = read_matrix(os.path.join(bundle_dir, "W.mat"))
+    h, k = W.shape
+    for key, size in (("H", h), ("K", k)):
+        if key in meta and parse_entry(meta_path, key, meta[key], int) != size:
+            raise ConfigError(
+                f"{meta_path}: {key}={meta[key]} does not match W.mat shape {W.shape}")
     U = read_matrix(os.path.join(bundle_dir, "U.mat"))
     b = read_vector(os.path.join(bundle_dir, "b.mat"))
     c = read_vector(os.path.join(bundle_dir, "c.mat"))
     alignments = {}
     for name in sorted(os.listdir(bundle_dir)):
         if name.startswith("A.") and name.endswith(".mat"):
-            alignments[name[2:-4]] = read_matrix(os.path.join(bundle_dir, name))
+            path = os.path.join(bundle_dir, name)
+            alignments[name[2:-4]] = _read_shaped(path, (h, h))
     params = ModelParams(W, U, b, c, activation=meta.get("activation", "sigmoid"),
                          alignments=alignments,
                          trained_epochs=int(meta.get("trained_epochs", 0)))
     lvt = None
     if int(meta.get("has_lvt", 0)):
-        lvt = read_matrix(os.path.join(bundle_dir, "lvt.mat"))
+        lvt = _read_shaped(os.path.join(bundle_dir, "lvt.mat"), W.shape)
     if len(vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")
     return params, vocabulary, meta, lvt
+
+
+def _read_shaped(path, shape):
+    mat = read_matrix(path)
+    if mat.shape != shape:
+        raise ConfigError(f"{path}: shape {mat.shape}, expected {shape}")
+    return mat

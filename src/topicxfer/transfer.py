@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ConfigError, CorpusError
-from .fileio import read_kv, read_matrix, write_kv, write_matrix
+from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
 
 
 @dataclass
@@ -114,8 +114,8 @@ class TransferSpec:
 class TransferContext:
     """Projected knowledge bases plus weights, ready to plug into training.
 
-    Alignment matrices are owned by the model parameters during training; this
-    context only provides their identity initialization.
+    Alignment matrices are owned by the model parameters; model.ensure_alignments
+    starts each one at the identity.
     """
 
     def __init__(self, spec, projected, n_topics, target_vocab_size):
@@ -161,9 +161,6 @@ class TransferContext:
             else:
                 A = np.eye(self.n_topics)
             yield sw.source_id, sw.gamma, pkb.topics, pkb.covered, A
-
-    def initial_alignments(self):
-        return {sid: np.eye(self.n_topics) for sid in self.gvt_source_ids()}
 
 
 class InferenceContext:
@@ -260,7 +257,7 @@ def gvt_penalty(W, ctx, alignments=None):
         raise ConfigError("global-view transfer is not enabled in this context")
     total = 0.0
     for _, gamma, R, _ in _residuals(W, ctx, alignments):
-        total += gamma * float((R * R).sum())
+        total += gamma * float(np.vdot(R, R))
     return total
 
 
@@ -276,7 +273,7 @@ def gvt_gradients(W, ctx, alignments=None):
     dW = np.zeros_like(W)
     dA = {}
     for source_id, gamma, R, A in _residuals(W, ctx, alignments):
-        total += gamma * float((R * R).sum())
+        total += gamma * float(np.vdot(R, R))
         dW += 2.0 * gamma * (A.T @ R)
         dA[source_id] = 2.0 * gamma * (R @ W.T)
     return total, dW, dA
@@ -306,12 +303,20 @@ def save_kb(kb, out_dir):
 
 
 def load_kb(bundle_dir):
-    meta = read_kv(os.path.join(bundle_dir, "meta.txt"))
+    """Load a knowledge base; meta.txt's E_dim and H_s must match E.mat and Z.mat."""
+    meta_path = os.path.join(bundle_dir, "meta.txt")
+    meta = read_kv(meta_path)
     vocab = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
     E = read_matrix(os.path.join(bundle_dir, "E.mat"))
     Z = None
     if int(meta.get("has_Z", 0)):
         Z = read_matrix(os.path.join(bundle_dir, "Z.mat"))
+    for key, name, mat in (("E_dim", "E.mat", E), ("H_s", "Z.mat", Z)):
+        if mat is not None and key in meta:
+            rows = parse_entry(meta_path, key, meta[key], int)
+            if rows != mat.shape[0]:
+                raise ConfigError(f"{os.path.join(bundle_dir, name)}: {mat.shape[0]} rows, "
+                                  f"but {meta_path} says {key}={rows}")
     return KnowledgeBase(meta["source_id"], vocab, E, Z)
 
 

@@ -159,8 +159,8 @@ def test_config_file_supplies_flag_defaults(tmp_path, family, capsys):
     assert meta["H"] == "3"
 
 
-@pytest.mark.parametrize("text", [None, "epocs = 2\ntopics = 3\n"],
-                         ids=["missing-file", "misspelt-key"])
+@pytest.mark.parametrize("text", [None, "epocs = 2\ntopics = 3\n", "momentum = 0.5\n"],
+                         ids=["missing-file", "misspelt-key", "removed-momentum"])
 def test_bad_config_is_single_line_error(tmp_path, family, capsys, text):
     cfg = tmp_path / "defaults.cfg"
     if text is not None:
@@ -172,6 +172,18 @@ def test_bad_config_is_single_line_error(tmp_path, family, capsys, text):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_experiment_bad_config_value_is_single_line_error(tmp_path, family, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = baseline\ntarget.train = {family / 'train.txt'}\n"
+                   f"target.test = {family / 'test.txt'}\nout = {tmp_path / 'out'}\n"
+                   "epochs = abc\n")
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{cfg}: epochs:" in err
 
 
 def test_config_false_boolean_stays_false(tmp_path, family):

@@ -95,6 +95,30 @@ def test_parse_config_malformed_line(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line, key", [
+    ("epochs = abc", "epochs"),
+    ("lambda_grid = 0.1 x", "lambda_grid"),
+    ("source.s1.lambda = x", "source.s1.lambda"),
+    ("labeled = maybe", "labeled"),
+], ids=["int", "float-list", "source-weight", "bool"])
+def test_parse_config_bad_value_names_file_and_key(tmp_path, line, key):
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = baseline\ntarget.train = a\ntarget.test = b\nout = o\n"
+                    f"source.s1.corpus = c\n{line}\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: {key}: ") and "\n" not in message
+
+
+def test_parse_config_rejects_momentum(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("mode = baseline\ntarget.train = a\ntarget.test = b\n"
+                    "out = o\nmomentum = 0.5\n")
+    with pytest.raises(ConfigError, match="unknown config key 'momentum'"):
+        parse_config(path)
+
+
 def test_parse_config_missing_required(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("mode = baseline\ntarget.train = a\nout = o\n")

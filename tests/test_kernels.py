@@ -81,7 +81,8 @@ def test_last_word_gets_no_column_gradient(rng):
 @pytest.mark.parametrize("use_lvt", [False, True])
 def test_in_place_log_softmax_keeps_inputs_and_bits(rng, act, use_lvt):
     # the log-softmax works in place on the kernels' own logits block only,
-    # and gives the bits of the allocating form it replaced
+    # gives the bits of the allocating form it replaced, and is one form for
+    # both kernels
     doc, W, U, b, c, lvt = _random_instance(rng, 4, 7, 9, lvt=use_lvt)
     inputs = (W, U, b, c, lvt)
     before = [arr.copy() for arr in inputs]
@@ -98,10 +99,8 @@ def test_in_place_log_softmax_keeps_inputs_and_bits(rng, act, use_lvt):
     dlogits = ex / z
     dlogits[doc, np.arange(doc.size)] -= 1.0
     assert np.array_equal(fwd, picked - (m + np.log(z)))
-    assert np.array_equal(grad, picked - m - np.log(z))
     assert np.array_equal(db, dlogits.sum(axis=1))
-    # the two kernels round the normaliser differently, so agree to an ulp or so
-    assert np.abs(fwd - grad).max() <= 1e-14
+    assert np.array_equal(fwd, grad)
 
 
 def _brute_force_windows(doc, n_tracked, window):

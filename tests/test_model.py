@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import make_vocab, random_doc
 from topicxfer import kernels
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
+from topicxfer.fileio import write_matrix
 from topicxfer.model import (ForwardTrace, ModelParams, TrainConfig,
                              document_vector, ensure_alignments, forward,
                              gradients, init_params, load_model, log_likelihood,
@@ -254,19 +257,6 @@ def test_early_stopping_returns_best_epoch(rng):
     assert perplexity(params, validation) == pytest.approx(best, rel=1e-12)
 
 
-def test_tiny_momentum_matches_plain_sgd(rng):
-    # momentum > 0 takes the dense velocity branch; a vanishing momentum must
-    # land where the plain per-document step does
-    corpus = _tiny_corpus(rng)
-    ctx = make_ctx(rng, 2, 6)
-    cfg = dict(learning_rate=0.05, epochs=3, seed=5, n_topics=2)
-    a, _ = train(corpus, TrainConfig(**cfg), ctx)
-    b, _ = train(corpus, TrainConfig(**cfg, momentum=1e-12), ctx)
-    for x, y in ((a.W, b.W), (a.U, b.U), (a.b, b.b), (a.c, b.c),
-                 (a.alignments["s0"], b.alignments["s0"])):
-        assert np.allclose(x, y)
-
-
 def _reference_train(corpus, cfg, ctx):
     """Plain-SGD train() with LVT+GVT as it was before the step was vectorized.
 
@@ -329,11 +319,18 @@ def test_train_step_is_bit_identical_to_reference(rng, mask_oov):
     assert [s.train_loss for s in stats] == losses
 
 
-def test_train_with_momentum_runs(rng):
-    corpus = _tiny_corpus(rng, k=8, n=10)
-    cfg = TrainConfig(learning_rate=0.05, epochs=10, seed=2, n_topics=3, momentum=0.5)
-    _, stats = train(corpus, cfg)
-    assert stats[-1].train_loss < stats[0].train_loss
+def test_train_loss_is_bit_equal_to_loss(rng):
+    # train()'s per-document loss and loss() share one log-softmax form and
+    # one penalty reduction, so with nothing learned they are the same number
+    k, h = 6, 3
+    corpus = Corpus(make_vocab(k), [Document(rng.integers(0, k, size=9))])
+    ctx = make_ctx(rng, h, k)
+    cfg = TrainConfig(learning_rate=0.0, epochs=1, seed=4, n_topics=h, init_scale=2.0,
+                      shuffle_words=False, shuffle_docs=False)
+    _, stats = train(corpus, cfg, ctx)
+    params = init_params(h, k, seed=4, init_scale=2.0)
+    ensure_alignments(params, ctx)
+    assert stats[0].train_loss == loss(corpus.documents[0], params, ctx)
 
 
 # ----------------------------------------------------------------- persistence
@@ -369,6 +366,34 @@ def test_resave_removes_stale_alignment_and_lvt_files(tmp_path, rng):
     assert lvt is None
     assert sorted(p.name for p in bundle.iterdir()) == [
         "U.mat", "W.mat", "b.mat", "c.mat", "meta.txt", "vocab.txt"]
+
+
+def _replace_meta(bundle, old, new):
+    meta = bundle / "meta.txt"
+    text = meta.read_text()
+    assert old in text
+    meta.write_text(text.replace(old, new))
+
+
+@pytest.mark.parametrize("case, culprit", [
+    ("meta-H", "meta.txt"), ("meta-K", "meta.txt"),
+    ("lvt", "lvt.mat"), ("alignment", "A.s1.mat"),
+])
+def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
+    bundle = tmp_path / "bundle"
+    params = init_params(3, 6, seed=8)
+    params.alignments["s1"] = rng.normal(size=(3, 3))
+    save_model(params, make_vocab(6), bundle, lvt_matrix=rng.normal(size=(3, 6)))
+    if case == "meta-H":
+        _replace_meta(bundle, "H=3", "H=4")
+    elif case == "meta-K":
+        _replace_meta(bundle, "K=6", "K=5")
+    elif case == "lvt":
+        write_matrix(bundle / "lvt.mat", rng.normal(size=(2, 4)))
+    else:
+        write_matrix(bundle / "A.s1.mat", rng.normal(size=(3, 2)))
+    with pytest.raises(ConfigError, match=re.escape(culprit)):
+        load_model(bundle)
 
 
 def test_loss_is_nonnegative(rng):

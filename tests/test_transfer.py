@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_vocab
 from topicxfer.corpus import Vocabulary
 from topicxfer.errors import ConfigError
-from topicxfer.model import init_params
+from topicxfer.model import ensure_alignments, init_params
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
                                 build_kb, gvt_gradients, gvt_penalty, load_kb,
                                 load_embeddings_text, lvt_term,
@@ -43,6 +45,16 @@ def test_kb_bundle_roundtrip_is_bit_exact(tmp_path, rng):
     assert again.vocabulary == kb.vocabulary
     np.testing.assert_array_equal(again.embeddings, kb.embeddings)
     np.testing.assert_array_equal(again.topics, kb.topics)
+
+
+@pytest.mark.parametrize("key, culprit", [("E_dim", "E.mat"), ("H_s", "Z.mat")])
+def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
+    kb = random_kb(rng, "src", 4, [f"t{i}" for i in range(6)])
+    save_kb(kb, tmp_path / "kb")
+    meta = tmp_path / "kb" / "meta.txt"
+    meta.write_text(meta.read_text().replace(f"{key}=4", f"{key}=5"))
+    with pytest.raises(ConfigError, match=re.escape(culprit)):
+        load_kb(tmp_path / "kb")
 
 
 def test_embedding_only_kb_roundtrip(tmp_path):
@@ -311,5 +323,13 @@ def test_transfer_spec_validates_enabled_views():
 
 def test_initial_alignments_are_identity(rng):
     kb, ctx = gvt_ctx(rng, 3, 4)
-    init = ctx.initial_alignments()
-    np.testing.assert_array_equal(init["s"], np.eye(3))
+    params = init_params(3, 4, seed=0)
+    ensure_alignments(params, ctx)
+    np.testing.assert_array_equal(params.alignments["s"], np.eye(3))
+    # an alignment the parameters already hold is left untouched
+    trained = rng.normal(size=(3, 3))
+    saved = trained.copy()
+    params.alignments["s"] = trained
+    ensure_alignments(params, ctx)
+    assert params.alignments["s"] is trained
+    np.testing.assert_array_equal(trained, saved)
