@@ -17,32 +17,52 @@ import sys
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       EvalReport, all_topics, coherence, model_vector_fn,
-                       nearest_neighbors, perplexity, retrieval_precision)
-from .fileio import parse_bool, parse_entry, parse_floats, read_kv
-from .harness import parse_config, run_experiment
-from .model import TrainConfig, load_model, save_model, train
+                       all_topics, nearest_neighbors)
+from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings
+from .harness import evaluate_model, load_target, parse_config, run_experiment
+from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
 from .transfer import (InferenceContext, TransferSpec, build_kb,
                        load_embeddings_text, load_kb, make_transfer_context,
                        save_kb)
 
 
+# the SyntheticSpec fields whose synth flag and config key differ from the field name
+SYNTH_KEYS = {"n_topics": "topics", "vocab_size": "vocab", "target_train_docs": "target_docs"}
+
+
 class _Options:
-    """Registers flags whose defaults can come from the --config file."""
+    """Registers flags whose defaults can come from the --config file.
+
+    A flag's config key is its argparse dest.  A boolean that defaults to
+    False is a --KEY switch; one that defaults to True is a --no-KEY switch
+    whose config key stays KEY.
+    """
 
     def __init__(self, parser):
         self.parser = parser
-        self.casts = {}  # config key -> (argparse dest, value parser)
+        self.casts = {}  # config key -> value parser
 
-    def add(self, flag, key, cast, default, **kwargs):
-        if cast is bool:
-            action = self.parser.add_argument(flag, action="store_true", default=default,
-                                              **kwargs)
-            cast = parse_bool
+    def add(self, key, cast, default, flag=None):
+        name = key.replace("_", "-")
+        if cast is parse_bool:
+            self.parser.add_argument(flag or (f"--no-{name}" if default else f"--{name}"),
+                                     dest=key, action="store_false" if default else "store_true",
+                                     default=default)
         else:
-            action = self.parser.add_argument(flag, type=cast, default=default, **kwargs)
-        self.casts[key] = (action.dest, cast)
+            self.parser.add_argument(flag or f"--{name}", dest=key, type=cast,
+                                     default=default)
+        self.casts[key] = cast
+
+    def add_fields(self, cls, keys):
+        """One flag per field of the dataclass cls except seed, which is the
+        common --seed; a (min, max) tuple field gets a KEY_min and a KEY_max flag."""
+        for name, key, cast, default in settings(cls, keys):
+            if isinstance(default, tuple):
+                self.add(f"{key}_min", int, default[0])
+                self.add(f"{key}_max", int, default[1])
+            elif name != "seed":
+                self.add(key, cast, default)
 
     def load(self, path):
         """Make the entries of a ``key = value`` file this subcommand's flag defaults."""
@@ -50,37 +70,28 @@ class _Options:
         for key, raw in read_kv(path, error=ConfigError).items():
             if key not in self.casts:
                 raise ConfigError(f"{path}: {self.parser.prog} has no config key {key!r}")
-            dest, cast = self.casts[key]
-            defaults[dest] = parse_entry(path, key, raw, cast)
+            defaults[key] = parse_entry(path, key, raw, self.casts[key])
         self.parser.set_defaults(**defaults)
 
 
-def _train_config(args):
-    return TrainConfig(
-        learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed,
-        n_topics=args.topics, activation=args.activation,
-        shuffle_words=not args.no_shuffle_words,
-        shuffle_docs=not args.no_shuffle_docs,
-        init_scale=args.init_scale, validation_patience=args.patience)
+def _from_args(cls, keys, args):
+    """The cls instance the flags of _Options.add_fields(cls, keys) give."""
+    values = {}
+    for name, key, _, default in settings(cls, keys):
+        if isinstance(default, tuple):
+            values[name] = (getattr(args, f"{key}_min"), getattr(args, f"{key}_max"))
+        else:
+            values[name] = args.seed if name == "seed" else getattr(args, key)
+    return cls(**values)
 
 
-def _add_train_flags(opt):
-    opt.add("--learning-rate", "learning_rate", float, 0.001)
-    opt.add("--epochs", "epochs", int, 50)
-    opt.add("--topics", "topics", int, 200)
-    opt.add("--activation", "activation", str, "sigmoid")
-    opt.add("--init-scale", "init_scale", float, 0.01)
-    opt.add("--patience", "patience", int, 10)
-    opt.add("--no-shuffle-words", "no_shuffle_words", bool, False)
-    opt.add("--no-shuffle-docs", "no_shuffle_docs", bool, False)
-    opt.add("--min-freq", "min_freq", int, 1)
-    opt.add("--max-vocab", "max_vocab", int, None)
-    opt.add("--labeled", "labeled", bool, False)
-
-
-def _load_split(path, vocabulary, labeled, split):
-    return corpuslib.load_corpus_file(path, vocabulary=vocabulary,
-                                      labeled=labeled, split=split)
+def _add_train_flags(p, opt):
+    p.add_argument("--train", required=True)
+    p.add_argument("--validation", default=None)
+    opt.add_fields(TrainConfig, TRAIN_KEYS)
+    opt.add("min_freq", int, 1)
+    opt.add("max_vocab", int, None)
+    opt.add("labeled", parse_bool, False)
 
 
 def _require_out(args):
@@ -88,17 +99,18 @@ def _require_out(args):
         raise TopicxferError(f"{args.command} requires --out DIR")
 
 
-def _cmd_train(args):
+def _load_target(args):
+    """Check --out, then load the --train corpus and its --validation split."""
     _require_out(args)
-    train_corpus = corpuslib.load_corpus_file(
-        args.train, labeled=args.labeled, min_freq=args.min_freq,
-        max_size=args.max_vocab)
-    validation = None
-    if args.validation:
-        validation = _load_split(args.validation, train_corpus.vocabulary,
-                                 args.labeled, "validation")
-    params, stats = train(train_corpus, _train_config(args), None, validation)
-    save_model(params, train_corpus.vocabulary, args.out, seed=args.seed)
+    return load_target(args.train, args.validation, args.labeled, args.min_freq,
+                       args.max_vocab)
+
+
+def _train_and_save(args, train_corpus, validation, ctx=None):
+    params, stats = train(train_corpus, _from_args(TrainConfig, TRAIN_KEYS, args), ctx,
+                          validation)
+    save_model(params, train_corpus.vocabulary, args.out, seed=args.seed,
+               lvt_matrix=ctx.lvt_matrix if ctx is not None and ctx.lvt_enabled else None)
     last = stats[-1]
     msg = f"trained {len(stats)} epochs, final mean loss {last.train_loss:.6g}"
     if last.validation_ppl is not None:
@@ -106,6 +118,10 @@ def _cmd_train(args):
     print(msg)
     print(f"model bundle written to {args.out}")
     return 0
+
+
+def _cmd_train(args):
+    return _train_and_save(args, *_load_target(args))
 
 
 def _cmd_build_kb(args):
@@ -140,14 +156,7 @@ def _parse_kb_flags(kb_args):
 
 
 def _cmd_transfer_train(args):
-    _require_out(args)
-    train_corpus = corpuslib.load_corpus_file(
-        args.train, labeled=args.labeled, min_freq=args.min_freq,
-        max_size=args.max_vocab)
-    validation = None
-    if args.validation:
-        validation = _load_split(args.validation, train_corpus.vocabulary,
-                                 args.labeled, "validation")
+    train_corpus, validation = _load_target(args)
     kbs = _parse_kb_flags(args.kb)
     if not kbs:
         raise TopicxferError("transfer-train needs at least one --kb ID=DIR")
@@ -159,29 +168,16 @@ def _cmd_transfer_train(args):
         ctx = make_transfer_context(kbs, train_corpus.vocabulary, spec, args.topics)
         for sid, cov in sorted(ctx.coverage.items()):
             print(f"source {sid}: vocabulary coverage {cov:.3f}")
-    params, stats = train(train_corpus, _train_config(args), ctx, validation)
-    save_model(params, train_corpus.vocabulary, args.out, seed=args.seed,
-               lvt_matrix=ctx.lvt_matrix if ctx is not None and ctx.lvt_enabled else None)
-    print(f"trained {len(stats)} epochs, final mean loss {stats[-1].train_loss:.6g}")
-    print(f"model bundle written to {args.out}")
-    return 0
+    return _train_and_save(args, train_corpus, validation, ctx)
 
 
 def _cmd_eval(args):
     params, vocabulary, _, lvt = load_model(args.model)
     ctx = InferenceContext(lvt) if lvt is not None else None
-    test = _load_split(args.test, vocabulary, args.labeled, "test")
-    ppl = perplexity(params, test, ctx)
-    reference_path = args.reference or args.train or args.test
-    reference = corpuslib.load_corpus_file(reference_path, labeled=args.labeled)
-    topics = all_topics(params, vocabulary, args.top_n)
-    coh = coherence(topics, reference, window=args.window, top_n=args.top_n)
-    ir = []
-    if args.train and args.labeled:
-        pool = _load_split(args.train, vocabulary, True, "train")
-        ir = retrieval_precision(pool, test, model_vector_fn(params, ctx),
-                                 args.fractions)
-    report = EvalReport(ppl, coh, ir)
+    report, _ = evaluate_model(
+        params, vocabulary, ctx, args.test, args.reference or args.train or args.test,
+        args.train, args.labeled, args.eval_fractions, args.coherence_window,
+        args.coherence_top_n)
     sys.stdout.write(report.to_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -214,17 +210,7 @@ def _cmd_nn(args):
 def _cmd_synth(args):
     if not args.out:
         raise TopicxferError("synth requires --out DIR")
-    spec = SyntheticSpec(
-        n_topics=args.topics, vocab_size=args.vocab,
-        source_docs=args.source_docs, target_train_docs=args.target_docs,
-        target_validation_docs=args.target_validation_docs,
-        target_test_docs=args.target_test_docs,
-        source_len=(args.source_len_min, args.source_len_max),
-        target_len=(args.target_len_min, args.target_len_max),
-        mixture_concentration=args.mixture_concentration,
-        word_concentration=args.word_concentration,
-        overlap=args.overlap, seed=args.seed)
-    source, (tr, va, te) = generate_synthetic(spec)
+    source, (tr, va, te) = generate_synthetic(_from_args(SyntheticSpec, SYNTH_KEYS, args))
     os.makedirs(args.out, exist_ok=True)
     for name, corpus in (("source.txt", source), ("train.txt", tr),
                          ("validation.txt", va), ("test.txt", te)):
@@ -264,9 +250,7 @@ def build_parser():
         return p, opt
 
     p, opt = new_command("train", _cmd_train, "train a model on one corpus")
-    p.add_argument("--train", required=True)
-    p.add_argument("--validation", default=None)
-    _add_train_flags(opt)
+    _add_train_flags(p, opt)
 
     p, _ = new_command("build-kb", _cmd_build_kb, "export a trained model as a knowledge base")
     p.add_argument("--model", required=True)
@@ -279,24 +263,22 @@ def build_parser():
 
     p, opt = new_command("transfer-train", _cmd_transfer_train,
                          "train with knowledge transfer from saved KBs")
-    p.add_argument("--train", required=True)
-    p.add_argument("--validation", default=None)
+    _add_train_flags(p, opt)
     p.add_argument("--kb", action="append", metavar="ID=DIR")
     p.add_argument("--mode", choices=("lvt", "gvt", "mvt"), default="mvt")
-    opt.add("--lam", "lam", float, 0.5)
-    opt.add("--gamma", "gamma", float, 0.01)
-    opt.add("--gvt-mask-oov", "gvt_mask_oov", bool, False)
-    _add_train_flags(opt)
+    opt.add("lam", float, 0.5)
+    opt.add("gamma", float, 0.01)
+    opt.add("gvt_mask_oov", parse_bool, False)
 
     p, opt = new_command("eval", _cmd_eval, "evaluate a saved model bundle")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--train", default=None, help="retrieval pool / default coherence reference")
     p.add_argument("--reference", default=None)
-    opt.add("--labeled", "labeled", bool, False)
-    opt.add("--window", "coherence_window", int, DEFAULT_WINDOW)
-    opt.add("--top-n", "coherence_top_n", int, DEFAULT_TOP_N)
-    opt.add("--fractions", "eval_fractions", parse_floats, list(DEFAULT_FRACTIONS))
+    opt.add("labeled", parse_bool, False)
+    opt.add("coherence_window", int, DEFAULT_WINDOW, flag="--window")
+    opt.add("coherence_top_n", int, DEFAULT_TOP_N, flag="--top-n")
+    opt.add("eval_fractions", parse_floats, list(DEFAULT_FRACTIONS), flag="--fractions")
 
     p, _ = new_command("topics", _cmd_topics, "print each topic's top words")
     p.add_argument("--model", required=True)
@@ -308,19 +290,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=5)
 
     p, opt = new_command("synth", _cmd_synth, "generate a synthetic source/target family")
-    opt.add("--topics", "topics", int, 3)
-    opt.add("--vocab", "vocab", int, 100)
-    opt.add("--source-docs", "source_docs", int, 500)
-    opt.add("--target-docs", "target_docs", int, 40)
-    opt.add("--target-validation-docs", "target_validation_docs", int, 20)
-    opt.add("--target-test-docs", "target_test_docs", int, 40)
-    opt.add("--source-len-min", "source_len_min", int, 40)
-    opt.add("--source-len-max", "source_len_max", int, 80)
-    opt.add("--target-len-min", "target_len_min", int, 8)
-    opt.add("--target-len-max", "target_len_max", int, 15)
-    opt.add("--mixture-concentration", "mixture_concentration", float, 0.3)
-    opt.add("--word-concentration", "word_concentration", float, 0.05)
-    opt.add("--overlap", "overlap", float, 1.0)
+    opt.add_fields(SyntheticSpec, SYNTH_KEYS)
 
     p, _ = new_command("experiment", _cmd_experiment, "run a full experiment from a config file")
     # its --config is the experiment file, which parse_config reads and checks

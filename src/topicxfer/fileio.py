@@ -4,6 +4,8 @@ Matrix format: first line ``rows cols``, then ``rows`` lines of ``cols``
 space-separated decimals printed with 17 significant digits.
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ConfigError, CorpusError
@@ -42,13 +44,6 @@ def read_matrix(path):
     if not np.isfinite(mat).all():
         raise CorpusError(f"{path}: matrix contains non-finite values")
     return mat
-
-
-def read_vector(path):
-    mat = read_matrix(path)
-    if mat.shape[0] != 1:
-        raise CorpusError(f"{path}: expected a single-row matrix, got {mat.shape}")
-    return mat[0]
 
 
 def write_kv(path, items):
@@ -100,3 +95,20 @@ def parse_bool(value):
 def parse_floats(value):
     """The float list of a ``key = value`` entry: whitespace-separated numbers."""
     return [float(v) for v in value.split()]
+
+
+_PARSERS = {"bool": parse_bool, "int": int, "float": float, "str": str,
+            "list[float]": parse_floats}
+
+
+def settings(cls, keys):
+    """(field name, config key, value parser, default) of each field of dataclass cls.
+
+    keys maps the fields whose config key differs from the field name.  The
+    parser follows the field's annotation as written (the defining modules
+    use postponed annotations), ``T | None`` as T; it is None for any other
+    annotation.  default is dataclasses.MISSING for a field without one.
+    """
+    return [(f.name, keys.get(f.name, f.name), _PARSERS.get(f.type.removesuffix(" | None")),
+             f.default)
+            for f in fields(cls)]

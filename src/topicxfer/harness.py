@@ -12,15 +12,15 @@ import collections
 import contextlib
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 from . import corpus as corpuslib
 from .errors import ConfigError, CorpusError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, coherence, model_vector_fn,
                        perplexity, retrieval_precision)
-from .fileio import format_float, parse_bool, parse_entry, parse_floats, read_kv
-from .model import TrainConfig, save_model, train
+from .fileio import format_float, parse_entry, read_kv, settings
+from .model import TRAIN_KEYS, TrainConfig, save_model, train
 from .transfer import (TransferSpec, build_kb, load_kb, make_transfer_context,
                        save_kb)
 
@@ -76,6 +76,12 @@ class ExperimentConfig:
             raise ConfigError("grid-search modes need a validation split")
 
 
+# the ExperimentConfig fields whose config key differs from the field name;
+# the keys of train are TrainConfig's and those of sources are source.<id>.<key>
+EXPERIMENT_KEYS = {"target_train": "target.train", "target_validation": "target.validation",
+                   "target_test": "target.test", "out_dir": "out"}
+
+
 def parse_config(path):
     """Parse an experiment config file into an ExperimentConfig."""
     entries = read_kv(path, error=ConfigError)
@@ -92,34 +98,23 @@ def parse_config(path):
         else:
             plain[key] = value
 
-    train_keys = {
-        "learning_rate": float, "epochs": int, "seed": int, "topics": int,
-        "activation": str, "shuffle_words": parse_bool, "shuffle_docs": parse_bool,
-        "init_scale": float, "patience": int,
-    }
-    train_kwargs = {}
-    for key, cast in train_keys.items():
+    train_config = TrainConfig()
+    for name, key, cast, _ in settings(TrainConfig, TRAIN_KEYS):
         if key in plain:
-            value = parse_entry(path, key, plain.pop(key), cast)
-            field_name = {"topics": "n_topics", "patience": "validation_patience"}.get(key, key)
-            train_kwargs[field_name] = value
+            # replace() reruns TrainConfig's checks, so a range error names its key
+            train_config = parse_entry(path, key, plain.pop(key),
+                                       lambda raw: replace(train_config, **{name: cast(raw)}))
 
-    known = {
-        "mode": str, "target.train": str, "target.validation": str,
-        "target.test": str, "labeled": parse_bool, "out": str,
-        "min_freq": int, "max_vocab": int,
-        "lambda_grid": parse_floats, "gamma_grid": parse_floats,
-        "eval_fractions": parse_floats,
-        "coherence_window": int, "coherence_top_n": int, "coherence_reference": str,
-        "gvt_mask_oov": parse_bool,
-    }
+    known = {key: (name, cast) for name, key, cast, _ in
+             settings(ExperimentConfig, EXPERIMENT_KEYS) if name not in ("sources", "train")}
     values = {}
     for key, value in plain.items():
         if key not in known:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        values[key] = parse_entry(path, key, value, known[key])
+        name, cast = known[key]
+        values[name] = parse_entry(path, key, value, cast)
     for required in ("mode", "target.train", "target.test", "out"):
-        if required not in values:
+        if known[required][0] not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
 
     source_configs = []
@@ -138,25 +133,7 @@ def parse_config(path):
             gamma_override=weights.get("gamma"),
         ))
 
-    return ExperimentConfig(
-        mode=values["mode"],
-        target_train=values["target.train"],
-        target_validation=values.get("target.validation"),
-        target_test=values["target.test"],
-        out_dir=values["out"],
-        labeled=values.get("labeled", True),
-        sources=source_configs,
-        train=TrainConfig(**train_kwargs),
-        min_freq=values.get("min_freq", 1),
-        max_vocab=values.get("max_vocab"),
-        lambda_grid=values.get("lambda_grid", list(DEFAULT_LAMBDA_GRID)),
-        gamma_grid=values.get("gamma_grid", list(DEFAULT_GAMMA_GRID)),
-        eval_fractions=values.get("eval_fractions", list(DEFAULT_FRACTIONS)),
-        coherence_window=values.get("coherence_window", DEFAULT_WINDOW),
-        coherence_top_n=values.get("coherence_top_n", DEFAULT_TOP_N),
-        coherence_reference=values.get("coherence_reference"),
-        gvt_mask_oov=values.get("gvt_mask_oov", False),
-    )
+    return ExperimentConfig(sources=source_configs, train=train_config, **values)
 
 
 def _weights_for(config, lam, gamma):
@@ -228,12 +205,7 @@ def _fingerprint(config, selected_weights, lvt_on, gvt_on):
         f"eval_fractions={config.eval_fractions}",
         f"coherence={config.coherence_window},{config.coherence_top_n},{config.coherence_reference}",
     ]
-    tc = config.train
-    lines.append(
-        "train="
-        f"{tc.learning_rate},{tc.epochs},{tc.seed},{tc.n_topics},{tc.activation},"
-        f"{tc.shuffle_words},{tc.shuffle_docs},{tc.init_scale},"
-        f"{tc.validation_patience}")
+    lines.append("train=" + ",".join(str(v) for v in astuple(config.train)))
     if config.mode in ("zero-shot", "data-augment"):
         for src in config.sources:
             lines.append(f"union_source={src.source_id},{src.corpus_path}")
@@ -245,6 +217,47 @@ def _fingerprint(config, selected_weights, lvt_on, gvt_on):
         lines.append(f"gvt_mask_oov={config.gvt_mask_oov}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:16]
+
+
+def load_target(train_path, validation_path, labeled, min_freq=1, max_vocab=None):
+    """The target training corpus, which builds the vocabulary, and the
+    validation split on that vocabulary (None without a validation path)."""
+    train_corpus = corpuslib.load_corpus_file(train_path, labeled=labeled,
+                                              min_freq=min_freq, max_size=max_vocab)
+    validation = None
+    if validation_path is not None:
+        validation = corpuslib.load_corpus_file(
+            validation_path, vocabulary=train_corpus.vocabulary, labeled=labeled,
+            split="validation")
+    return train_corpus, validation
+
+
+def evaluate_model(params, vocabulary, ctx, test_path, reference_path, pool_path,
+                   labeled, fractions=DEFAULT_FRACTIONS, window=DEFAULT_WINDOW,
+                   top_n=DEFAULT_TOP_N):
+    """Score a model: test perplexity, topic coherence over the reference
+    corpus and, for labeled data with a pool, retrieval of the test documents
+    from the pool.
+
+    Returns (report without fingerprint, ingestion audit rows of the corpora read).
+    """
+    audit = []
+    test = corpuslib.load_corpus_file(test_path, vocabulary=vocabulary,
+                                      labeled=labeled, split="test")
+    audit.append(("eval", "target_test", len(test)))
+    ppl = perplexity(params, test, ctx)
+
+    reference = corpuslib.load_corpus_file(reference_path, labeled=labeled)
+    audit.append(("eval", "coherence_reference", len(reference)))
+    topics = all_topics(params, vocabulary, top_n)
+    coh = coherence(topics, reference, window=window, top_n=top_n)
+
+    ir = []
+    if labeled and pool_path is not None:
+        pool = corpuslib.load_corpus_file(pool_path, vocabulary=vocabulary, labeled=True)
+        audit.append(("eval", "retrieval_pool", len(pool)))
+        ir = retrieval_precision(pool, test, model_vector_fn(params, ctx), fractions)
+    return EvalReport(ppl, coh, ir), audit
 
 
 def _prepare_kbs(config, out_dir, audit):
@@ -356,15 +369,10 @@ def run_experiment(config):
 
     if config.mode in ("baseline", "lvt", "gvt", "mvt"):
         with _stage("loading target corpora"):
-            train_corpus = corpuslib.load_corpus_file(
-                config.target_train, labeled=config.labeled,
-                min_freq=config.min_freq, max_size=config.max_vocab)
+            train_corpus, validation = load_target(
+                config.target_train, config.target_validation, config.labeled,
+                config.min_freq, config.max_vocab)
             vocabulary = train_corpus.vocabulary
-            validation = None
-            if config.target_validation is not None:
-                validation = corpuslib.load_corpus_file(
-                    config.target_validation, vocabulary=vocabulary,
-                    labeled=config.labeled, split="validation")
         audit.append(("train", "target_train", len(train_corpus)))
         if config.mode == "baseline":
             with _stage("training"):
@@ -405,31 +413,15 @@ def run_experiment(config):
         raise ConfigError(f"unknown mode {config.mode!r}")
 
     with _stage("evaluating"):
-        test = corpuslib.load_corpus_file(config.target_test, vocabulary=vocabulary,
-                                          labeled=config.labeled, split="test")
-        audit.append(("eval", "target_test", len(test)))
-
-        lvt_on = ctx is not None and ctx.lvt_enabled
-        gvt_on = ctx is not None and ctx.gvt_enabled
-        ppl = perplexity(params, test, ctx)
-
-        reference_path = config.coherence_reference or config.target_train
-        reference = corpuslib.load_corpus_file(reference_path, labeled=config.labeled)
-        audit.append(("eval", "coherence_reference", len(reference)))
-        topics = all_topics(params, vocabulary, config.coherence_top_n)
-        coh = coherence(topics, reference, window=config.coherence_window,
-                        top_n=config.coherence_top_n)
-
-        ir = []
-        if config.labeled:
-            pool = corpuslib.load_corpus_file(config.target_train,
-                                              vocabulary=vocabulary, labeled=True)
-            audit.append(("eval", "retrieval_pool", len(pool)))
-            ir = retrieval_precision(pool, test, model_vector_fn(params, ctx),
-                                     config.eval_fractions)
-
-    fingerprint = _fingerprint(config, selected_weights, lvt_on, gvt_on)
-    report = EvalReport(ppl, coh, ir, fingerprint)
+        report, eval_audit = evaluate_model(
+            params, vocabulary, ctx, config.target_test,
+            config.coherence_reference or config.target_train, config.target_train,
+            config.labeled, config.eval_fractions, config.coherence_window,
+            config.coherence_top_n)
+    audit.extend(eval_audit)
+    lvt_on = ctx is not None and ctx.lvt_enabled
+    report.fingerprint = _fingerprint(config, selected_weights, lvt_on,
+                                      ctx is not None and ctx.gvt_enabled)
 
     save_model(params, vocabulary, os.path.join(config.out_dir, "model"),
                seed=config.train.seed,

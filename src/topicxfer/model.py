@@ -17,8 +17,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, CorpusError, NumericalError
-from .fileio import (parse_entry, read_kv, read_matrix, read_vector, write_kv,
-                     write_matrix)
+from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
 
 ACTIVATIONS = ("sigmoid", "tanh")
 
@@ -57,6 +56,11 @@ class TrainConfig:
         if self.validation_patience < 1:
             raise ConfigError("validation_patience must be >= 1")
         _act_code(self.activation)
+
+
+# the TrainConfig fields whose config key (CLI --config and experiment
+# files) and CLI flag differ from the field name
+TRAIN_KEYS = {"n_topics": "topics", "validation_patience": "patience"}
 
 
 @dataclass
@@ -229,10 +233,7 @@ def document_vector(doc, params, ctx=None):
     cols = params.W[:, ordered]
     if use_lvt:
         cols = cols + lvt[:, ordered]
-    pre = params.c + cols.sum(axis=1)
-    if act == kernels.ACT_TANH:
-        return np.tanh(pre)
-    return 1.0 / (1.0 + np.exp(-pre))
+    return kernels._activation(params.c + cols.sum(axis=1), act)
 
 
 def _corpus_ppl(corpus, params, ctx):
@@ -367,7 +368,8 @@ def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
 def load_model(bundle_dir):
     """Load a model bundle.  Returns (params, vocabulary, meta, lvt_matrix or None).
 
-    meta.txt's H and K, lvt.mat and every A.*.mat must agree with W's shape.
+    meta.txt's H and K, U.mat, b.mat, c.mat, lvt.mat and every A.*.mat must
+    agree with W's shape.
     """
     from .corpus import Vocabulary
 
@@ -380,9 +382,9 @@ def load_model(bundle_dir):
         if key in meta and parse_entry(meta_path, key, meta[key], int) != size:
             raise ConfigError(
                 f"{meta_path}: {key}={meta[key]} does not match W.mat shape {W.shape}")
-    U = read_matrix(os.path.join(bundle_dir, "U.mat"))
-    b = read_vector(os.path.join(bundle_dir, "b.mat"))
-    c = read_vector(os.path.join(bundle_dir, "c.mat"))
+    U = _read_shaped(os.path.join(bundle_dir, "U.mat"), (k, h))
+    b = _read_shaped(os.path.join(bundle_dir, "b.mat"), (1, k))[0]
+    c = _read_shaped(os.path.join(bundle_dir, "c.mat"), (1, h))[0]
     alignments = {}
     for name in sorted(os.listdir(bundle_dir)):
         if name.startswith("A.") and name.endswith(".mat"):
@@ -390,9 +392,10 @@ def load_model(bundle_dir):
             alignments[name[2:-4]] = _read_shaped(path, (h, h))
     params = ModelParams(W, U, b, c, activation=meta.get("activation", "sigmoid"),
                          alignments=alignments,
-                         trained_epochs=int(meta.get("trained_epochs", 0)))
+                         trained_epochs=parse_entry(meta_path, "trained_epochs",
+                                                    meta.get("trained_epochs", "0"), int))
     lvt = None
-    if int(meta.get("has_lvt", 0)):
+    if parse_entry(meta_path, "has_lvt", meta.get("has_lvt", "0"), int):
         lvt = _read_shaped(os.path.join(bundle_dir, "lvt.mat"), W.shape)
     if len(vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")

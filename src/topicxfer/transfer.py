@@ -309,7 +309,7 @@ def load_kb(bundle_dir):
     vocab = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
     E = read_matrix(os.path.join(bundle_dir, "E.mat"))
     Z = None
-    if int(meta.get("has_Z", 0)):
+    if parse_entry(meta_path, "has_Z", meta.get("has_Z", "0"), int):
         Z = read_matrix(os.path.join(bundle_dir, "Z.mat"))
     for key, name, mat in (("E_dim", "E.mat", E), ("H_s", "Z.mat", Z)):
         if mat is not None and key in meta:

@@ -159,8 +159,10 @@ def test_config_file_supplies_flag_defaults(tmp_path, family, capsys):
     assert meta["H"] == "3"
 
 
-@pytest.mark.parametrize("text", [None, "epocs = 2\ntopics = 3\n", "momentum = 0.5\n"],
-                         ids=["missing-file", "misspelt-key", "removed-momentum"])
+@pytest.mark.parametrize("text", [None, "epocs = 2\ntopics = 3\n", "momentum = 0.5\n",
+                                  "no_shuffle_words = true\n"],
+                         ids=["missing-file", "misspelt-key", "removed-momentum",
+                              "renamed-shuffle-key"])
 def test_bad_config_is_single_line_error(tmp_path, family, capsys, text):
     cfg = tmp_path / "defaults.cfg"
     if text is not None:
@@ -184,6 +186,71 @@ def test_experiment_bad_config_value_is_single_line_error(tmp_path, family, caps
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert f"{cfg}: epochs:" in err
+
+
+def test_config_shuffle_keys_match_no_shuffle_flags(tmp_path, family):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("shuffle_words = false\nshuffle_docs = false\n")
+    from_config = train_small(tmp_path, family, "from_config", ["--config", str(cfg)])
+    from_flags = train_small(tmp_path, family, "from_flags",
+                             ["--no-shuffle-words", "--no-shuffle-docs"])
+    shuffled = train_small(tmp_path, family, "shuffled")
+    for name in ("meta.txt", "vocab.txt", "W.mat", "U.mat", "b.mat", "c.mat"):
+        assert (from_config / name).read_bytes() == (from_flags / name).read_bytes()
+    assert (from_config / "W.mat").read_bytes() != (shuffled / "W.mat").read_bytes()
+
+
+def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = baseline\ntarget.train = {family / 'train.txt'}\n"
+                   f"target.test = {family / 'test.txt'}\nout = {tmp_path / 'out'}\n"
+                   "topics = 0\n")
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{cfg}: topics:" in err
+
+
+def test_malformed_bundle_meta_is_single_line_error(tmp_path, family, capsys):
+    model = train_small(tmp_path, family)
+    meta = model / "meta.txt"
+    meta.write_text(meta.read_text().replace("trained_epochs=3", "trained_epochs=x"))
+    capsys.readouterr()
+    rc = main(["topics", "--model", str(model)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{meta}: trained_epochs:" in err
+
+
+def test_eval_reproduces_experiment_report(tmp_path, family, capsys):
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "expout"
+    cfg.write_text(
+        f"mode = mvt\n"
+        f"target.train = {family / 'train.txt'}\n"
+        f"target.validation = {family / 'validation.txt'}\n"
+        f"target.test = {family / 'test.txt'}\n"
+        f"labeled = true\nout = {out}\n"
+        f"epochs = 3\nlearning_rate = 0.05\nseed = 1\ntopics = 3\n"
+        f"lambda_grid = 0.5\ngamma_grid = 0.05\neval_fractions = 0.1 0.5\n"
+        f"coherence_window = 8\ncoherence_top_n = 4\n"
+        f"coherence_reference = {family / 'source.txt'}\n"
+        f"source.s1.corpus = {family / 'source.txt'}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    assert (out / "model" / "lvt.mat").exists()
+    evalout = tmp_path / "evalout"
+    assert main(["eval", "--model", str(out / "model"), "--test", str(family / "test.txt"),
+                 "--train", str(family / "train.txt"),
+                 "--reference", str(family / "source.txt"), "--labeled",
+                 "--window", "8", "--top-n", "4", "--fractions", "0.1 0.5",
+                 "--out", str(evalout)]) == 0
+    experiment = EvalReport.load(out / "report.txt")
+    standalone = EvalReport.load(evalout / "report.txt")
+    assert standalone.ppl == experiment.ppl
+    assert standalone.coh == experiment.coh
+    assert standalone.ir == experiment.ir
 
 
 def test_config_false_boolean_stays_false(tmp_path, family):

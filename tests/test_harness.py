@@ -6,8 +6,9 @@ import pytest
 from topicxfer.corpus import load_corpus_file, write_corpus_file
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import EvalReport, perplexity
-from topicxfer.harness import (ExperimentConfig, SourceConfig, candidate_grid,
-                               grid_search, parse_config, run_experiment)
+from topicxfer.harness import (ExperimentConfig, SourceConfig, _fingerprint,
+                               candidate_grid, grid_search, parse_config,
+                               run_experiment)
 from topicxfer.model import TrainConfig, init_params, train
 from topicxfer.synthetic import SyntheticSpec, generate_synthetic
 from topicxfer.transfer import KnowledgeBase, build_kb, save_kb
@@ -117,6 +118,14 @@ def test_parse_config_rejects_momentum(tmp_path):
                     "out = o\nmomentum = 0.5\n")
     with pytest.raises(ConfigError, match="unknown config key 'momentum'"):
         parse_config(path)
+
+
+def test_fingerprint_is_stable():
+    # a change here changes the fingerprint= line of every experiment report
+    config = ExperimentConfig(
+        mode="baseline", target_train="t.txt", target_test="s.txt", out_dir="o",
+        train=TrainConfig(learning_rate=0.01, epochs=20, seed=100, n_topics=3))
+    assert _fingerprint(config, [], False, False) == "585b620d7871ba71"
 
 
 def test_parse_config_missing_required(tmp_path):

@@ -378,6 +378,9 @@ def _replace_meta(bundle, old, new):
 @pytest.mark.parametrize("case, culprit", [
     ("meta-H", "meta.txt"), ("meta-K", "meta.txt"),
     ("lvt", "lvt.mat"), ("alignment", "A.s1.mat"),
+    ("U", "U.mat"), ("b", "b.mat"), ("c", "c.mat"),
+    ("meta-trained_epochs", "meta.txt: trained_epochs"),
+    ("meta-has_lvt", "meta.txt: has_lvt"),
 ])
 def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
     bundle = tmp_path / "bundle"
@@ -388,10 +391,14 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
         _replace_meta(bundle, "H=3", "H=4")
     elif case == "meta-K":
         _replace_meta(bundle, "K=6", "K=5")
-    elif case == "lvt":
-        write_matrix(bundle / "lvt.mat", rng.normal(size=(2, 4)))
+    elif case == "meta-trained_epochs":
+        _replace_meta(bundle, "trained_epochs=0", "trained_epochs=x")
+    elif case == "meta-has_lvt":
+        _replace_meta(bundle, "has_lvt=1", "has_lvt=x")
     else:
-        write_matrix(bundle / "A.s1.mat", rng.normal(size=(3, 2)))
+        shape = {"lvt": (2, 4), "alignment": (3, 2), "U": (6, 2), "b": (1, 5),
+                 "c": (1, 4)}[case]
+        write_matrix(bundle / culprit, rng.normal(size=shape))
     with pytest.raises(ConfigError, match=re.escape(culprit)):
         load_model(bundle)
 

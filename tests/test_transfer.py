@@ -57,6 +57,15 @@ def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
         load_kb(tmp_path / "kb")
 
 
+def test_load_kb_rejects_malformed_has_z(tmp_path, rng):
+    save_kb(random_kb(rng, "src", 4, [f"t{i}" for i in range(6)]), tmp_path / "kb")
+    meta = tmp_path / "kb" / "meta.txt"
+    meta.write_text(meta.read_text().replace("has_Z=1", "has_Z=yes please"))
+    with pytest.raises(ConfigError) as info:
+        load_kb(tmp_path / "kb")
+    assert str(info.value).startswith(f"{meta}: has_Z: ")
+
+
 def test_embedding_only_kb_roundtrip(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("alpha 0.25 -1.5\nbeta 2 0.125\n")
