@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
@@ -42,17 +43,21 @@ class _Options:
     def __init__(self, parser):
         self.parser = parser
         self.casts = {}  # config key -> value parser
+        self.flags = {}  # config key -> flag
+        self.loaded = {}  # config key -> the value the --config file gave
 
     def add(self, key, cast, default, flag=None):
         name = key.replace("_", "-")
         if cast is parse_bool:
-            self.parser.add_argument(flag or (f"--no-{name}" if default else f"--{name}"),
-                                     dest=key, action="store_false" if default else "store_true",
+            flag = flag or (f"--no-{name}" if default else f"--{name}")
+            self.parser.add_argument(flag, dest=key,
+                                     action="store_false" if default else "store_true",
                                      default=default)
         else:
-            self.parser.add_argument(flag or f"--{name}", dest=key, type=cast,
-                                     default=default)
+            flag = flag or f"--{name}"
+            self.parser.add_argument(flag, dest=key, type=cast, default=default)
         self.casts[key] = cast
+        self.flags[key] = flag
 
     def add_fields(self, cls, keys):
         """One flag per field of the dataclass cls except seed, which is the
@@ -72,17 +77,36 @@ class _Options:
                 raise ConfigError(f"{path}: {self.parser.prog} has no config key {key!r}")
             defaults[key] = parse_entry(path, key, raw, self.casts[key])
         self.parser.set_defaults(**defaults)
+        self.loaded = defaults
+
+    def origin(self, args, key):
+        """The --config entry that gave key's value in args, else key's flag."""
+        if key in self.loaded and getattr(args, key) == self.loaded[key]:
+            return f"{args.config}: {key}"
+        return self.flags[key]
 
 
 def _from_args(cls, keys, args):
-    """The cls instance the flags of _Options.add_fields(cls, keys) give."""
-    values = {}
+    """The cls instance the flags of _Options.add_fields(cls, keys) give.
+
+    Each value goes in through replace(), which reruns cls's checks, so a value
+    they reject is an error naming its flag or --config entry.
+    """
+    config = cls()
+    opt = args.options
     for name, key, _, default in settings(cls, keys):
-        if isinstance(default, tuple):
-            values[name] = (getattr(args, f"{key}_min"), getattr(args, f"{key}_max"))
+        if name == "seed":
+            value, origin = args.seed, "--seed"
+        elif isinstance(default, tuple):
+            value = (getattr(args, f"{key}_min"), getattr(args, f"{key}_max"))
+            origin = ", ".join(opt.origin(args, f"{key}_{end}") for end in ("min", "max"))
         else:
-            values[name] = args.seed if name == "seed" else getattr(args, key)
-    return cls(**values)
+            value, origin = getattr(args, key), opt.origin(args, key)
+        try:
+            config = replace(config, **{name: value})
+        except ConfigError as exc:
+            raise ConfigError(f"{origin}: {exc}") from None
+    return config
 
 
 def _add_train_flags(p, opt):
@@ -106,9 +130,8 @@ def _load_target(args):
                        args.max_vocab)
 
 
-def _train_and_save(args, train_corpus, validation, ctx=None):
-    params, stats = train(train_corpus, _from_args(TrainConfig, TRAIN_KEYS, args), ctx,
-                          validation)
+def _train_and_save(args, config, train_corpus, validation, ctx=None):
+    params, stats = train(train_corpus, config, ctx, validation)
     save_model(params, train_corpus.vocabulary, args.out, seed=args.seed,
                lvt_matrix=ctx.lvt_matrix if ctx is not None and ctx.lvt_enabled else None)
     last = stats[-1]
@@ -121,7 +144,8 @@ def _train_and_save(args, train_corpus, validation, ctx=None):
 
 
 def _cmd_train(args):
-    return _train_and_save(args, *_load_target(args))
+    config = _from_args(TrainConfig, TRAIN_KEYS, args)
+    return _train_and_save(args, config, *_load_target(args))
 
 
 def _cmd_build_kb(args):
@@ -156,6 +180,7 @@ def _parse_kb_flags(kb_args):
 
 
 def _cmd_transfer_train(args):
+    config = _from_args(TrainConfig, TRAIN_KEYS, args)
     train_corpus, validation = _load_target(args)
     kbs = _parse_kb_flags(args.kb)
     if not kbs:
@@ -165,10 +190,10 @@ def _cmd_transfer_train(args):
         gvt_mask_oov=args.gvt_mask_oov)
     ctx = None
     if spec.active:
-        ctx = make_transfer_context(kbs, train_corpus.vocabulary, spec, args.topics)
+        ctx = make_transfer_context(kbs, train_corpus.vocabulary, spec, config.n_topics)
         for sid, cov in sorted(ctx.coverage.items()):
             print(f"source {sid}: vocabulary coverage {cov:.3f}")
-    return _train_and_save(args, train_corpus, validation, ctx)
+    return _train_and_save(args, config, train_corpus, validation, ctx)
 
 
 def _cmd_eval(args):

@@ -84,7 +84,10 @@ class Vocabulary:
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        try:
+            return cls(tokens)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -88,7 +88,7 @@ def perplexity(params, corpus, ctx=None):
         raise CorpusError("cannot evaluate perplexity on an empty corpus")
     per_doc = np.empty(len(corpus))
     for t, doc in enumerate(corpus):
-        per_doc[t] = forward(doc, params, ctx).log_probs.sum() / len(doc)
+        per_doc[t] = forward(doc, params, ctx).sum() / len(doc)
     return float(np.exp(-per_doc.mean()))
 
 

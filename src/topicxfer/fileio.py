@@ -29,20 +29,29 @@ def write_matrix(path, mat):
             fh.write(" ".join(format_float(v) for v in mat[r]) + "\n")
 
 
-def read_matrix(path):
+def read_matrix(path, shape=None):
+    """Read a matrix file; a vector is stored as one row, so its shape is (1, n).
+
+    With shape given, a matrix of any other shape is a ConfigError naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise CorpusError(f"{path}: malformed matrix header")
-        rows, cols = int(header[0]), int(header[1])
-        mat = np.empty((rows, cols), dtype=np.float64)
+        try:
+            rows, cols = map(int, fh.readline().split())
+            mat = np.empty((rows, cols), dtype=np.float64)
+        except ValueError:
+            raise CorpusError(f"{path}: malformed matrix header") from None
         for r in range(rows):
             parts = fh.readline().split()
             if len(parts) != cols:
                 raise CorpusError(f"{path}: row {r} has {len(parts)} values, expected {cols}")
-            mat[r] = [float(p) for p in parts]
+            try:
+                mat[r] = [float(p) for p in parts]
+            except ValueError:
+                raise CorpusError(f"{path}: row {r} has a non-numeric value") from None
     if not np.isfinite(mat).all():
         raise CorpusError(f"{path}: matrix contains non-finite values")
+    if shape is not None and mat.shape != shape:
+        raise ConfigError(f"{path}: shape {mat.shape}, expected {shape}")
     return mat
 
 

@@ -8,7 +8,6 @@ Experiment config files are line-oriented ``key = value`` with
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import hashlib
 import os
@@ -40,7 +39,7 @@ class SourceConfig:
     def __post_init__(self):
         if (self.corpus_path is None) == (self.kb_path is None):
             raise ConfigError(
-                f"source {self.source_id!r}: give exactly one of a corpus path or a KB path")
+                f"source.{self.source_id}: give exactly one of a corpus path or a KB path")
 
 
 @dataclass
@@ -65,15 +64,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+            raise ConfigError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
         if self.mode != "baseline" and not self.sources:
-            raise ConfigError(f"mode {self.mode!r} requires at least one source")
+            raise ConfigError(f"mode: {self.mode!r} requires at least one source")
         if self.mode in ("lvt", "mvt") and not self.lambda_grid:
-            raise ConfigError("lambda_grid must be non-empty for this mode")
+            raise ConfigError(f"lambda_grid: must be non-empty for mode {self.mode!r}")
         if self.mode in ("gvt", "mvt") and not self.gamma_grid:
-            raise ConfigError("gamma_grid must be non-empty for this mode")
+            raise ConfigError(f"gamma_grid: must be non-empty for mode {self.mode!r}")
         if self.mode in ("lvt", "gvt", "mvt") and self.target_validation is None:
-            raise ConfigError("grid-search modes need a validation split")
+            raise ConfigError(f"target.validation: mode {self.mode!r} needs a validation split")
 
 
 # the ExperimentConfig fields whose config key differs from the field name;
@@ -117,7 +116,7 @@ def parse_config(path):
         if known[required][0] not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
 
-    source_configs = []
+    source_kwargs = {}
     for sid in sorted(sources):
         attrs = sources[sid]
         unknown = set(attrs) - {"corpus", "kb", "lambda", "gamma"}
@@ -125,15 +124,17 @@ def parse_config(path):
             raise ConfigError(f"{path}: unknown source key(s) {sorted(unknown)} for {sid!r}")
         weights = {attr: parse_entry(path, f"source.{sid}.{attr}", attrs[attr], float)
                    for attr in ("lambda", "gamma") if attr in attrs}
-        source_configs.append(SourceConfig(
-            sid,
-            corpus_path=attrs.get("corpus"),
-            kb_path=attrs.get("kb"),
-            lam_override=weights.get("lambda"),
-            gamma_override=weights.get("gamma"),
-        ))
+        source_kwargs[sid] = dict(corpus_path=attrs.get("corpus"), kb_path=attrs.get("kb"),
+                                  lam_override=weights.get("lambda"),
+                                  gamma_override=weights.get("gamma"))
 
-    return ExperimentConfig(sources=source_configs, train=train_config, **values)
+    # the SourceConfig and ExperimentConfig checks name their key; add the file
+    try:
+        return ExperimentConfig(
+            sources=[SourceConfig(sid, **kwargs) for sid, kwargs in source_kwargs.items()],
+            train=train_config, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _weights_for(config, lam, gamma):
@@ -280,47 +281,30 @@ def _prepare_kbs(config, out_dir, audit):
     return kbs
 
 
-def _union_vocabulary(raw_doc_groups, min_freq, max_vocab):
-    """Vocabulary over concatenated corpora; overflowing max_vocab is an error."""
-    counts = collections.Counter()
-    for docs in raw_doc_groups:
-        for doc in docs:
-            counts.update(doc)
-    qualifying = sum(1 for n in counts.values() if n >= min_freq)
-    if max_vocab is not None and qualifying > max_vocab:
+def _union_corpus(parts, labeled, min_freq, max_vocab):
+    """Encode (name, raw_docs, labels) parts against the vocabulary of their union.
+
+    Returns (merged training corpus, [(name, encoded document count)]).  A
+    union vocabulary longer than max_vocab is an error, not a truncation.
+    """
+    vocabulary = corpuslib.build_vocabulary(
+        [doc for _, docs, _ in parts for doc in docs], min_freq=min_freq)
+    if max_vocab is not None and len(vocabulary) > max_vocab:
         raise ConfigError(
-            f"vocabulary union holds {qualifying} tokens, above the configured "
+            f"vocabulary union holds {len(vocabulary)} tokens, above the configured "
             f"maximum {max_vocab}")
-    all_docs = [doc for docs in raw_doc_groups for doc in docs]
-    return corpuslib.build_vocabulary(all_docs, min_freq=min_freq, max_size=max_vocab)
-
-
-def _concat_encode(parts, vocabulary, labeled):
-    """Encode (name, raw_docs, labels) parts against one vocabulary; merge labels."""
-    label_names = None
+    names = None
     if labeled:
-        label_names = []
-        seen = set()
-        for _, _, labels in parts:
-            for lab in labels:
-                if lab not in seen:
-                    seen.add(lab)
-                    label_names.append(lab)
-    documents = []
-    per_part = []
-    total_docs_dropped = 0
-    total_tokens_dropped = 0
-    for name, raw_docs, labels in parts:
-        part = corpuslib.encode_corpus(raw_docs, labels, vocabulary,
-                                       label_names=label_names)
-        documents.extend(part.documents)
-        per_part.append((name, len(part)))
-        total_docs_dropped += part.docs_dropped
-        total_tokens_dropped += part.tokens_dropped
-    merged = corpuslib.Corpus(vocabulary, documents, label_names=label_names,
-                              split="train", docs_dropped=total_docs_dropped,
-                              tokens_dropped=total_tokens_dropped)
-    return merged, per_part
+        # every part numbers its labels the same way: by first appearance
+        names = list(dict.fromkeys(lab for _, _, labels in parts for lab in labels))
+    encoded = [(name, corpuslib.encode_corpus(docs, labels, vocabulary, label_names=names))
+               for name, docs, labels in parts]
+    merged = corpuslib.Corpus(
+        vocabulary, [doc for _, part in encoded for doc in part.documents],
+        label_names=names, split="train",
+        docs_dropped=sum(part.docs_dropped for _, part in encoded),
+        tokens_dropped=sum(part.tokens_dropped for _, part in encoded))
+    return merged, [(name, len(part)) for name, part in encoded]
 
 
 def _write_train_log(path, stats):
@@ -401,9 +385,9 @@ def run_experiment(config):
                 raw_docs, labels = corpuslib.read_raw_file(config.target_train,
                                                            labeled=config.labeled)
                 parts.append(("target_train", raw_docs, labels))
-            vocabulary = _union_vocabulary([docs for _, docs, _ in parts],
-                                           config.min_freq, config.max_vocab)
-            train_corpus, per_part = _concat_encode(parts, vocabulary, config.labeled)
+            train_corpus, per_part = _union_corpus(parts, config.labeled, config.min_freq,
+                                                   config.max_vocab)
+            vocabulary = train_corpus.vocabulary
         for name, count in per_part:
             audit.append(("train", name, count))
         audit.append(("train", "total", len(train_corpus)))

@@ -108,13 +108,6 @@ class ModelParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Per-position log-probabilities for one document."""
-
-    log_probs: np.ndarray     # (D,), each <= 0
-
-
-@dataclass
 class Gradients:
     W: np.ndarray
     U: np.ndarray
@@ -158,28 +151,23 @@ def _kernel_args(words, params, ctx):
 
 
 def forward(doc, params, ctx=None):
-    """Autoregressive forward pass over one document (incremental pre-activation)."""
+    """The (D,) log-probabilities log p(v_i | v_<i) of one document; they sum to log p(v)."""
     words, lvt, use_lvt, act = _kernel_args(_doc_words(doc), params, ctx)
     logps, _, _ = kernels.doc_forward(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     if not np.isfinite(logps).all():
         pos = int(np.flatnonzero(~np.isfinite(logps))[0])
         raise NumericalError(f"non-finite log-probability at position {pos}")
-    return ForwardTrace(logps)
+    return logps
 
 
 def _doc_words(doc):
     return doc.words if hasattr(doc, "words") else np.asarray(doc, dtype=np.int64)
 
 
-def log_likelihood(doc, params, ctx=None):
-    """log p(v) for one document."""
-    return float(forward(doc, params, ctx).log_probs.sum())
-
-
 def loss(doc, params, ctx=None):
     """Negative log-likelihood, plus the alignment penalty when global transfer is on."""
-    value = -log_likelihood(doc, params, ctx)
+    value = -float(forward(doc, params, ctx).sum())
     if ctx is not None and ctx.gvt_enabled:
         from .transfer import gvt_penalty
 
@@ -234,12 +222,6 @@ def document_vector(doc, params, ctx=None):
     if use_lvt:
         cols = cols + lvt[:, ordered]
     return kernels._activation(params.c + cols.sum(axis=1), act)
-
-
-def _corpus_ppl(corpus, params, ctx):
-    from .evaluate import perplexity
-
-    return perplexity(params, corpus, ctx)
 
 
 def ensure_alignments(params, ctx):
@@ -311,7 +293,9 @@ def train(corpus, config, ctx=None, validation=None):
 
             entry.gvt_residuals = gvt_residual_norms(params.W, ctx, params.alignments)
         if validation is not None:
-            entry.validation_ppl = _corpus_ppl(validation, params, ctx)
+            from .evaluate import perplexity
+
+            entry.validation_ppl = perplexity(params, validation, ctx)
         stats.append(entry)
         epochs_run = epoch + 1
         if validation is not None:
@@ -382,28 +366,24 @@ def load_model(bundle_dir):
         if key in meta and parse_entry(meta_path, key, meta[key], int) != size:
             raise ConfigError(
                 f"{meta_path}: {key}={meta[key]} does not match W.mat shape {W.shape}")
-    U = _read_shaped(os.path.join(bundle_dir, "U.mat"), (k, h))
-    b = _read_shaped(os.path.join(bundle_dir, "b.mat"), (1, k))[0]
-    c = _read_shaped(os.path.join(bundle_dir, "c.mat"), (1, h))[0]
+    U = read_matrix(os.path.join(bundle_dir, "U.mat"), (k, h))
+    b = read_matrix(os.path.join(bundle_dir, "b.mat"), (1, k))[0]
+    c = read_matrix(os.path.join(bundle_dir, "c.mat"), (1, h))[0]
     alignments = {}
     for name in sorted(os.listdir(bundle_dir)):
         if name.startswith("A.") and name.endswith(".mat"):
             path = os.path.join(bundle_dir, name)
-            alignments[name[2:-4]] = _read_shaped(path, (h, h))
-    params = ModelParams(W, U, b, c, activation=meta.get("activation", "sigmoid"),
+            alignments[name[2:-4]] = read_matrix(path, (h, h))
+    activation = meta.get("activation", "sigmoid")
+    parse_entry(meta_path, "activation", activation, _act_code)
+    params = ModelParams(W, U, b, c, activation=activation,
                          alignments=alignments,
                          trained_epochs=parse_entry(meta_path, "trained_epochs",
                                                     meta.get("trained_epochs", "0"), int))
     lvt = None
     if parse_entry(meta_path, "has_lvt", meta.get("has_lvt", "0"), int):
-        lvt = _read_shaped(os.path.join(bundle_dir, "lvt.mat"), W.shape)
+        lvt = read_matrix(os.path.join(bundle_dir, "lvt.mat"), W.shape)
     if len(vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")
     return params, vocabulary, meta, lvt
 
-
-def _read_shaped(path, shape):
-    mat = read_matrix(path)
-    if mat.shape != shape:
-        raise ConfigError(f"{path}: shape {mat.shape}, expected {shape}")
-    return mat

@@ -236,13 +236,6 @@ def make_transfer_context(kbs, target_vocab, spec, n_topics):
     return TransferContext(spec, projected, n_topics, len(target_vocab))
 
 
-def lvt_term(word_index, ctx):
-    """Combined source-embedding column added to the pre-activation for one word."""
-    if not ctx.lvt_enabled:
-        raise ConfigError("local-view transfer is not enabled in this context")
-    return ctx.lvt_matrix[:, word_index].copy()
-
-
 def _residuals(W, ctx, alignments):
     for source_id, gamma, Z, covered, A in ctx.gvt_terms(alignments):
         R = A @ W - Z
@@ -303,21 +296,22 @@ def save_kb(kb, out_dir):
 
 
 def load_kb(bundle_dir):
-    """Load a knowledge base; meta.txt's E_dim and H_s must match E.mat and Z.mat."""
+    """Load a knowledge base; E.mat and Z.mat must have meta.txt's E_dim and H_s
+    rows and one column per vocab.txt word."""
     meta_path = os.path.join(bundle_dir, "meta.txt")
     meta = read_kv(meta_path)
+
+    def entry(key, cast):
+        if key not in meta:
+            raise ConfigError(f"{meta_path}: missing key {key!r}")
+        return parse_entry(meta_path, key, meta[key], cast)
+
     vocab = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
-    E = read_matrix(os.path.join(bundle_dir, "E.mat"))
+    E = read_matrix(os.path.join(bundle_dir, "E.mat"), (entry("E_dim", int), len(vocab)))
     Z = None
     if parse_entry(meta_path, "has_Z", meta.get("has_Z", "0"), int):
-        Z = read_matrix(os.path.join(bundle_dir, "Z.mat"))
-    for key, name, mat in (("E_dim", "E.mat", E), ("H_s", "Z.mat", Z)):
-        if mat is not None and key in meta:
-            rows = parse_entry(meta_path, key, meta[key], int)
-            if rows != mat.shape[0]:
-                raise ConfigError(f"{os.path.join(bundle_dir, name)}: {mat.shape[0]} rows, "
-                                  f"but {meta_path} says {key}={rows}")
-    return KnowledgeBase(meta["source_id"], vocab, E, Z)
+        Z = read_matrix(os.path.join(bundle_dir, "Z.mat"), (entry("H_s", int), len(vocab)))
+    return KnowledgeBase(entry("source_id", str), vocab, E, Z)
 
 
 def load_embeddings_text(path, source_id):

@@ -212,6 +212,40 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
     assert f"{cfg}: topics:" in err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("mode = wat\n", "mode"),
+    ("mode = gvt\nsource.s1.corpus = s.txt\n", "target.validation"),
+    ("mode = lvt\ntarget.validation = v.txt\nlambda_grid =\nsource.s1.corpus = s.txt\n",
+     "lambda_grid"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nsource.s1.kb = kb\n",
+     "source.s1"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.s1.lambda = 0.5\n", "source.s1"),
+], ids=["unknown-mode", "missing-validation", "empty-grid", "corpus-and-kb",
+        "neither-corpus-nor-kb"])
+def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"target.train = t.txt\ntarget.test = e.txt\nout = {tmp_path / 'out'}\n"
+                   + text)
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {cfg}: {key}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("origin", ["flag", "config"])
+def test_train_range_error_names_flag_or_config_key(tmp_path, family, capsys, origin):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("topics = 0\n")
+    out = tmp_path / "model"
+    given = ["--topics", "0"] if origin == "flag" else ["--config", str(cfg)]
+    rc = main(["train", "--train", str(family / "train.txt"), "--out", str(out), *given])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    where = "--topics" if origin == "flag" else f"{cfg}: topics"
+    assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_malformed_bundle_meta_is_single_line_error(tmp_path, family, capsys):
     model = train_small(tmp_path, family)
     meta = model / "meta.txt"

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from topicxfer.corpus import load_corpus_file, write_corpus_file
+from topicxfer.corpus import Vocabulary, load_corpus_file, write_corpus_file
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import EvalReport, perplexity
 from topicxfer.harness import (ExperimentConfig, SourceConfig, _fingerprint,
@@ -212,6 +212,33 @@ def test_data_augment_train_size_is_sum_of_parts(tmp_path):
         if line.startswith("train "):
             audit[name] = count
     assert audit["total"] == audit["source:s1"] + audit["target_train"]
+
+
+def test_union_part_counts_match_saved_vocabulary(tmp_path):
+    paths = small_family(tmp_path)
+    (tmp_path / "other").mkdir()
+    other = small_family(tmp_path / "other", seed=2)
+    kwargs = base_kwargs(paths)
+    kwargs["coherence_top_n"] = 3
+    out = tmp_path / "da"
+    # min_freq 195 keeps 3 words, so every part loses whole documents
+    run_experiment(ExperimentConfig(
+        mode="data-augment", out_dir=str(out), min_freq=195,
+        sources=[SourceConfig("s1", corpus_path=paths["source"]),
+                 SourceConfig("s2", corpus_path=other["source"])], **kwargs))
+    audit = {}
+    for line in (out / "ingestion.txt").read_text().splitlines():
+        role, name, count = line.split()
+        if role == "train":
+            audit[name] = int(count)
+    vocabulary = Vocabulary.load(out / "model" / "vocab.txt")
+    parts = {"source:s1": paths["source"], "source:s2": other["source"],
+             "target_train": paths["train"]}
+    for name, path in parts.items():
+        encoded = load_corpus_file(path, vocabulary=vocabulary, labeled=True)
+        assert encoded.docs_dropped > 0
+        assert audit[name] == len(encoded), name
+    assert audit["total"] == sum(audit[name] for name in parts)
 
 
 def test_zero_shot_rejects_kb_sources(tmp_path):

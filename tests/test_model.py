@@ -8,10 +8,9 @@ from topicxfer import kernels
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.fileio import write_matrix
-from topicxfer.model import (ForwardTrace, ModelParams, TrainConfig,
-                             document_vector, ensure_alignments, forward,
-                             gradients, init_params, load_model, log_likelihood,
-                             loss, save_model, train)
+from topicxfer.model import (ModelParams, TrainConfig, document_vector,
+                             ensure_alignments, forward, gradients, init_params,
+                             load_model, loss, save_model, train)
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
                                 gvt_gradients, gvt_penalty, make_transfer_context)
 
@@ -68,15 +67,15 @@ def test_single_word_uniform_logprob():
     p = zero_params(3, 2)
     p.W[:] = np.random.default_rng(0).normal(size=(3, 2))
     p.c[:] = 0.4
-    trace = forward(Document(np.array([0])), p)
-    assert trace.log_probs[0] == pytest.approx(np.log(0.5), abs=1e-15)
+    log_probs = forward(Document(np.array([0])), p)
+    assert log_probs[0] == pytest.approx(np.log(0.5), abs=1e-15)
 
 
 def test_uniform_model_total_logprob(rng):
     k, d = 4, 6
     p = zero_params(2, k)
     doc = random_doc(rng, k, d)
-    assert log_likelihood(doc, p) == pytest.approx(-d * np.log(k), abs=1e-12)
+    assert forward(doc, p).sum() == pytest.approx(-d * np.log(k), abs=1e-12)
 
 
 def test_uniform_loss_value(rng):
@@ -92,7 +91,7 @@ def test_loss_zero_penalty_when_w_equals_topics(rng):
     p = ModelParams(z.copy(), np.zeros((k, h)), np.zeros(k), np.zeros(h))
     ensure_alignments(p, ctx)
     doc = random_doc(rng, k, 4)
-    assert loss(doc, p, ctx) == pytest.approx(-log_likelihood(doc, p, ctx), abs=1e-15)
+    assert loss(doc, p, ctx) == pytest.approx(-forward(doc, p, ctx).sum(), abs=1e-15)
 
 
 def test_loss_adds_hand_summed_penalty(rng):
@@ -107,17 +106,17 @@ def test_loss_adds_hand_summed_penalty(rng):
     for j in range(h):
         row = p.alignments["s0"][j] @ p.W - z[j]
         penalty += 0.8 * float(row @ row)
-    assert loss(doc, p, ctx) == pytest.approx(-log_likelihood(doc, p, ctx) + penalty,
+    assert loss(doc, p, ctx) == pytest.approx(-forward(doc, p, ctx).sum() + penalty,
                                               abs=1e-12)
 
 
 def test_forward_trace_shape_and_signs(rng):
     p = init_params(4, 7, seed=2, init_scale=0.5)
     doc = random_doc(rng, 7, 9)
-    trace = forward(doc, p)
-    assert isinstance(trace, ForwardTrace)
-    assert trace.log_probs.shape == (9,)
-    assert (trace.log_probs <= 0).all()
+    log_probs = forward(doc, p)
+    assert isinstance(log_probs, np.ndarray)
+    assert log_probs.shape == (9,)
+    assert (log_probs <= 0).all()
 
 
 def test_forward_rejects_out_of_range_indices():
@@ -381,6 +380,8 @@ def _replace_meta(bundle, old, new):
     ("U", "U.mat"), ("b", "b.mat"), ("c", "c.mat"),
     ("meta-trained_epochs", "meta.txt: trained_epochs"),
     ("meta-has_lvt", "meta.txt: has_lvt"),
+    ("meta-activation", "meta.txt: activation"),
+    ("W-header", "W.mat"), ("empty-vocab", "vocab.txt"),
 ])
 def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
     bundle = tmp_path / "bundle"
@@ -395,11 +396,19 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
         _replace_meta(bundle, "trained_epochs=0", "trained_epochs=x")
     elif case == "meta-has_lvt":
         _replace_meta(bundle, "has_lvt=1", "has_lvt=x")
+    elif case == "meta-activation":
+        _replace_meta(bundle, "activation=sigmoid", "activation=relu")
+    elif case == "W-header":
+        W = bundle / "W.mat"
+        W.write_text("a b\n" + W.read_text().split("\n", 1)[1])
+    elif case == "empty-vocab":
+        (bundle / "vocab.txt").write_text("")
     else:
         shape = {"lvt": (2, 4), "alignment": (3, 2), "U": (6, 2), "b": (1, 5),
                  "c": (1, 4)}[case]
         write_matrix(bundle / culprit, rng.normal(size=shape))
-    with pytest.raises(ConfigError, match=re.escape(culprit)):
+    error = CorpusError if case in ("W-header", "empty-vocab") else ConfigError
+    with pytest.raises(error, match=re.escape(culprit)):
         load_model(bundle)
 
 

@@ -1,16 +1,20 @@
-"""The benchmark's outside-in tracer must keep finding what it wraps.
+"""The benchmark must keep finding the package names it uses.
 
 perfbench/tracer.py replaces package functions at their caller-visible
-module attributes.  A rename or deletion of one of them should fail here,
-not in a traced benchmark run.
+module attributes, and perfbench/workloads.py and run.py call the package
+through its module attributes.  A rename or deletion of one of them should
+fail here, not in a benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 import os
 
 import pytest
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +43,27 @@ def test_tracer_restores_every_original(tracer):
             assert getattr(module, attr) is not original
     for module, attr, original in originals:
         assert getattr(module, attr) is original
+
+
+@pytest.mark.parametrize("script", ["workloads.py", "run.py"])
+def test_every_package_name_the_benchmark_uses_resolves(script):
+    with open(os.path.join(PERFBENCH, script), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    modules = {}  # the name a topicxfer module is bound to -> the module
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "topicxfer":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = importlib.import_module(
+                    f"topicxfer.{alias.name}")
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("topicxfer."):
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    uses = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert uses, f"{script} uses no topicxfer module attribute"
+    missing += [f"{name}.{attr}" for name, attr in sorted(uses)
+                if not hasattr(modules[name], attr)]
+    assert not missing, f"{script} uses names the package lacks: {missing}"

@@ -9,8 +9,8 @@ from topicxfer.errors import ConfigError
 from topicxfer.model import ensure_alignments, init_params
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
                                 build_kb, gvt_gradients, gvt_penalty, load_kb,
-                                load_embeddings_text, lvt_term,
-                                make_transfer_context, project_kb, save_kb)
+                                load_embeddings_text, make_transfer_context,
+                                project_kb, save_kb)
 
 
 def random_kb(rng, sid, h, tokens):
@@ -47,12 +47,21 @@ def test_kb_bundle_roundtrip_is_bit_exact(tmp_path, rng):
     np.testing.assert_array_equal(again.topics, kb.topics)
 
 
-@pytest.mark.parametrize("key, culprit", [("E_dim", "E.mat"), ("H_s", "Z.mat")])
+@pytest.mark.parametrize("key, culprit", [
+    ("E_dim", "E.mat"), ("H_s", "Z.mat"),
+    ("source_id", "meta.txt: missing key 'source_id'"), ("vocab", "E.mat"),
+])
 def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
     kb = random_kb(rng, "src", 4, [f"t{i}" for i in range(6)])
     save_kb(kb, tmp_path / "kb")
     meta = tmp_path / "kb" / "meta.txt"
-    meta.write_text(meta.read_text().replace(f"{key}=4", f"{key}=5"))
+    if key == "source_id":
+        meta.write_text(meta.read_text().replace("source_id=src\n", ""))
+    elif key == "vocab":
+        # one token shorter than E.mat has columns
+        (tmp_path / "kb" / "vocab.txt").write_text("".join(f"t{i}\n" for i in range(5)))
+    else:
+        meta.write_text(meta.read_text().replace(f"{key}=4", f"{key}=5"))
     with pytest.raises(ConfigError, match=re.escape(culprit)):
         load_kb(tmp_path / "kb")
 
@@ -119,7 +128,7 @@ def test_lvt_zero_for_uncovered_word(rng):
     target = Vocabulary(["a", "zzz"])
     spec = TransferSpec([SourceWeight("s", lam=1.0)], lvt_enabled=True)
     ctx = make_transfer_context([kb], target, spec, 2)
-    assert np.all(lvt_term(1, ctx) == 0.0)
+    assert np.all(ctx.lvt_matrix[:, 1] == 0.0)
 
 
 def test_lvt_identity_weight_returns_column():
@@ -128,7 +137,7 @@ def test_lvt_identity_weight_returns_column():
     kb = KnowledgeBase("s", vocab, emb.copy(), emb.copy())
     spec = TransferSpec([SourceWeight("s", lam=1.0)], lvt_enabled=True)
     ctx = make_transfer_context([kb], vocab, spec, 2)
-    np.testing.assert_array_equal(lvt_term(0, ctx), np.array([0.2, -0.1]))
+    np.testing.assert_array_equal(ctx.lvt_matrix[:, 0], np.array([0.2, -0.1]))
 
 
 def test_lvt_two_source_weighted_sum(rng):
@@ -140,7 +149,7 @@ def test_lvt_two_source_weighted_sum(rng):
     ctx = make_transfer_context([kb1, kb2], vocab, spec, 2)
     for w in range(3):
         want = 0.5 * kb1.embeddings[:, w] + 1.0 * kb2.embeddings[:, w]
-        assert np.abs(lvt_term(w, ctx) - want).max() <= 1e-15
+        assert np.abs(ctx.lvt_matrix[:, w] - want).max() <= 1e-15
 
 
 def test_lvt_linear_in_lambda(rng):
