@@ -133,7 +133,7 @@ def _load_target(args):
 def _train_and_save(args, config, train_corpus, validation, ctx=None):
     params, stats = train(train_corpus, config, ctx, validation)
     save_model(params, train_corpus.vocabulary, args.out, seed=args.seed,
-               lvt_matrix=ctx.lvt_matrix if ctx is not None and ctx.lvt_enabled else None)
+               lvt_matrix=None if ctx is None else ctx.lvt_matrix)
     last = stats[-1]
     msg = f"trained {len(stats)} epochs, final mean loss {last.train_loss:.6g}"
     if last.validation_ppl is not None:

@@ -148,6 +148,13 @@ class Corpus:
         return [self.vocabulary.token(i) for i in doc.words]
 
 
+def check_vocabulary_limits(min_freq=1, max_size=None):
+    if min_freq < 1:
+        raise CorpusError("min_freq must be >= 1")
+    if max_size is not None and max_size < 1:
+        raise CorpusError("max_size must be >= 1")
+
+
 def build_vocabulary(raw_docs, min_freq=1, max_size=None):
     """Build a vocabulary from tokenized documents.
 
@@ -156,10 +163,7 @@ def build_vocabulary(raw_docs, min_freq=1, max_size=None):
     """
     if not raw_docs:
         raise CorpusError("cannot build a vocabulary from zero documents")
-    if min_freq < 1:
-        raise CorpusError("min_freq must be >= 1")
-    if max_size is not None and max_size < 1:
-        raise CorpusError("max_size must be >= 1")
+    check_vocabulary_limits(min_freq, max_size)
     counts = collections.Counter()
     for doc in raw_docs:
         counts.update(doc)

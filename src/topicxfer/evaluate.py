@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 from .fileio import format_float
 from .model import document_vector, forward
 
@@ -82,6 +82,24 @@ class EvalReport:
             return cls.from_text(fh.read())
 
 
+def check_window(window):
+    if window < 2:
+        raise ConfigError("window must be >= 2")
+
+
+def check_top_n(top_n):
+    if top_n < 2:
+        raise ConfigError("top_n must be >= 2")
+
+
+def check_fractions(fractions):
+    """The sorted distinct retrieval fractions, which must lie in (0, 1]."""
+    fractions = sorted(set(fractions))
+    if not fractions or fractions[0] <= 0 or fractions[-1] > 1:
+        raise ConfigError("fractions must lie in (0, 1]")
+    return fractions
+
+
 def perplexity(params, corpus, ctx=None):
     """Average held-out perplexity per word: exp(-mean_t log p(v_t) / |v_t|)."""
     if len(corpus) == 0:
@@ -95,9 +113,9 @@ def perplexity(params, corpus, ctx=None):
 def top_words(params, vocabulary, topic_index, n):
     """The n heaviest words of one topic row, descending weight, ties by word index."""
     if not 0 <= topic_index < params.n_topics:
-        raise ValueError(f"topic index {topic_index} out of range")
+        raise ConfigError(f"topic index {topic_index} out of range")
     if not 1 <= n <= params.vocab_size:
-        raise ValueError(f"n must be in [1, {params.vocab_size}]")
+        raise ConfigError(f"n must be in [1, {params.vocab_size}]")
     row = params.W[topic_index]
     order = np.lexsort((np.arange(row.size), -row))
     return [vocabulary.token(i) for i in order[:n]]
@@ -114,7 +132,7 @@ def nearest_neighbors(params, vocabulary, word, n):
         raise CorpusError(f"word not in vocabulary: {word!r}")
     k = params.vocab_size
     if not 1 <= n <= k - 1:
-        raise ValueError(f"n must be in [1, {k - 1}]")
+        raise ConfigError(f"n must be in [1, {k - 1}]")
     w = vocabulary.index(word)
     cols = params.W
     norms = np.linalg.norm(cols, axis=0)
@@ -136,17 +154,15 @@ def coherence(topics, reference, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
     joint count score -1, as do pairs involving a word absent from the
     reference vocabulary.
     """
-    if top_n < 2:
-        raise ValueError("top_n must be >= 2")
-    if window < 2:
-        raise ValueError("window must be >= 2")
+    check_top_n(top_n)
+    check_window(window)
     if len(reference) == 0:
         raise CorpusError("coherence needs a non-empty reference corpus")
     clipped = []
     for topic in topics:
         words = list(topic[:top_n])
         if len(words) < 2:
-            raise ValueError("every topic must supply at least 2 words")
+            raise ConfigError("every topic must supply at least 2 words")
         clipped.append(words)
 
     vocab = reference.vocabulary
@@ -204,9 +220,7 @@ def retrieval_precision(train, queries, vector_fn, fractions=DEFAULT_FRACTIONS):
     """
     if not train.labeled or not queries.labeled:
         raise CorpusError("retrieval evaluation needs labeled corpora")
-    fractions = sorted(set(fractions))
-    if not fractions or fractions[0] <= 0 or fractions[-1] > 1:
-        raise ValueError("fractions must lie in (0, 1]")
+    fractions = check_fractions(fractions)
     train_vecs = np.stack([vector_fn(doc) for doc in train.documents])
     query_vecs = np.stack([vector_fn(doc) for doc in queries.documents])
     # each corpus numbers its own labels, so match through the label strings;

@@ -16,14 +16,16 @@ from dataclasses import astuple, dataclass, field, replace
 from . import corpus as corpuslib
 from .errors import ConfigError, CorpusError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       EvalReport, all_topics, coherence, model_vector_fn,
-                       perplexity, retrieval_precision)
+                       EvalReport, all_topics, check_fractions, check_top_n,
+                       check_window, coherence, model_vector_fn, perplexity,
+                       retrieval_precision)
 from .fileio import format_float, parse_entry, read_kv, settings
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
 from .transfer import (TransferSpec, build_kb, load_kb, make_transfer_context,
                        save_kb)
 
 MODES = ("baseline", "lvt", "gvt", "mvt", "zero-shot", "data-augment")
+UNION_MODES = ("zero-shot", "data-augment")
 DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0)
 DEFAULT_GAMMA_GRID = (0.1, 0.01, 0.001)
 
@@ -73,6 +75,16 @@ class ExperimentConfig:
             raise ConfigError(f"gamma_grid: must be non-empty for mode {self.mode!r}")
         if self.mode in ("lvt", "gvt", "mvt") and self.target_validation is None:
             raise ConfigError(f"target.validation: mode {self.mode!r} needs a validation split")
+        # the rules of the stages that use these settings, checked before any training
+        checks = {"min_freq": lambda v: corpuslib.check_vocabulary_limits(min_freq=v),
+                  "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_size=v),
+                  "eval_fractions": check_fractions, "coherence_window": check_window,
+                  "coherence_top_n": check_top_n}
+        for key, check in checks.items():
+            try:
+                check(getattr(self, key))
+            except TopicxferError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
 
 
 # the ExperimentConfig fields whose config key differs from the field name;
@@ -188,18 +200,19 @@ def grid_search(train_corpus, validation, kbs, config, candidates):
     return best[0], table, best[2], best[3], best[4]
 
 
-def _fingerprint(config, selected_weights, lvt_on, gvt_on):
+def _fingerprint(config, ctx):
     """Stable hash of the effective experiment: data, training, eval, active transfer.
 
-    Transfer weights that resolved to zero leave no trace, so a transfer mode
-    with all-zero weights fingerprints identically to the baseline.
+    Only the sources of ctx's per-view weights leave a trace, so a transfer
+    mode whose weights all resolved to zero (ctx None) fingerprints
+    identically to the baseline.
     """
     lines = [
         f"target.train={config.target_train}",
         f"target.validation={config.target_validation}",
         f"target.test={config.target_test}",
         f"labeled={config.labeled}",
-        f"mode_family={'union' if config.mode in ('zero-shot', 'data-augment') else 'target'}",
+        f"mode_family={'union' if config.mode in UNION_MODES else 'target'}",
         f"includes_target_train={config.mode != 'zero-shot'}",
         f"min_freq={config.min_freq}",
         f"max_vocab={config.max_vocab}",
@@ -207,14 +220,13 @@ def _fingerprint(config, selected_weights, lvt_on, gvt_on):
         f"coherence={config.coherence_window},{config.coherence_top_n},{config.coherence_reference}",
     ]
     lines.append("train=" + ",".join(str(v) for v in astuple(config.train)))
-    if config.mode in ("zero-shot", "data-augment"):
+    if config.mode in UNION_MODES:
         for src in config.sources:
             lines.append(f"union_source={src.source_id},{src.corpus_path}")
-    active = [(sid, lam, gamma) for sid, lam, gamma in selected_weights
-              if lam > 0 or gamma > 0]
-    for sid, lam, gamma in sorted(active):
-        lines.append(f"transfer={sid},{lam if lvt_on else 0.0},{gamma if gvt_on else 0.0}")
-    if active:
+    if ctx is not None:
+        for sid in sorted(ctx.lvt_weights.keys() | ctx.gvt_weights.keys()):
+            lines.append(f"transfer={sid},{ctx.lvt_weights.get(sid, 0.0)},"
+                         f"{ctx.gvt_weights.get(sid, 0.0)}")
         lines.append(f"gvt_mask_oov={config.gvt_mask_oov}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:16]
@@ -349,28 +361,10 @@ def run_experiment(config):
     audit = []
     ctx = None
     selection = None
-    selected_weights = []
+    validation = None
+    candidates = candidate_grid(config)
 
-    if config.mode in ("baseline", "lvt", "gvt", "mvt"):
-        with _stage("loading target corpora"):
-            train_corpus, validation = load_target(
-                config.target_train, config.target_validation, config.labeled,
-                config.min_freq, config.max_vocab)
-            vocabulary = train_corpus.vocabulary
-        audit.append(("train", "target_train", len(train_corpus)))
-        if config.mode == "baseline":
-            with _stage("training"):
-                params, stats = train(train_corpus, config.train, None, validation)
-        else:
-            kbs = _prepare_kbs(config, config.out_dir, audit)
-            candidates = candidate_grid(config)
-            with _stage("grid search"):
-                best_index, table, params, stats, ctx = grid_search(
-                    train_corpus, validation, kbs, config, candidates)
-            selection = (table, best_index)
-            selected_weights = _weights_for(config, *candidates[best_index])
-        audit.append(("train", "total", len(train_corpus)))
-    elif config.mode in ("zero-shot", "data-augment"):
+    if config.mode in UNION_MODES:
         parts = []
         with _stage("loading training corpora"):
             for src in config.sources:
@@ -387,14 +381,27 @@ def run_experiment(config):
                 parts.append(("target_train", raw_docs, labels))
             train_corpus, per_part = _union_corpus(parts, config.labeled, config.min_freq,
                                                    config.max_vocab)
-            vocabulary = train_corpus.vocabulary
         for name, count in per_part:
             audit.append(("train", name, count))
-        audit.append(("train", "total", len(train_corpus)))
+    else:
+        with _stage("loading target corpora"):
+            train_corpus, validation = load_target(
+                config.target_train, config.target_validation, config.labeled,
+                config.min_freq, config.max_vocab)
+        audit.append(("train", "target_train", len(train_corpus)))
+    if candidates:
+        kbs = _prepare_kbs(config, config.out_dir, audit)
+    audit.append(("train", "total", len(train_corpus)))
+    vocabulary = train_corpus.vocabulary
+
+    if candidates:
+        with _stage("grid search"):
+            best_index, table, params, stats, ctx = grid_search(
+                train_corpus, validation, kbs, config, candidates)
+        selection = (table, best_index)
+    else:
         with _stage("training"):
-            params, stats = train(train_corpus, config.train)
-    else:  # pragma: no cover - guarded by ExperimentConfig
-        raise ConfigError(f"unknown mode {config.mode!r}")
+            params, stats = train(train_corpus, config.train, None, validation)
 
     with _stage("evaluating"):
         report, eval_audit = evaluate_model(
@@ -403,13 +410,11 @@ def run_experiment(config):
             config.labeled, config.eval_fractions, config.coherence_window,
             config.coherence_top_n)
     audit.extend(eval_audit)
-    lvt_on = ctx is not None and ctx.lvt_enabled
-    report.fingerprint = _fingerprint(config, selected_weights, lvt_on,
-                                      ctx is not None and ctx.gvt_enabled)
+    report.fingerprint = _fingerprint(config, ctx)
 
     save_model(params, vocabulary, os.path.join(config.out_dir, "model"),
                seed=config.train.seed,
-               lvt_matrix=ctx.lvt_matrix if lvt_on else None)
+               lvt_matrix=None if ctx is None else ctx.lvt_matrix)
     report.save(os.path.join(config.out_dir, "report.txt"))
     _write_train_log(os.path.join(config.out_dir, "train_log.txt"), stats)
     _write_audit(os.path.join(config.out_dir, "ingestion.txt"), audit)

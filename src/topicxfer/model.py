@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, transfer
 from .errors import ConfigError, CorpusError, NumericalError
 from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
 
@@ -169,9 +169,7 @@ def loss(doc, params, ctx=None):
     """Negative log-likelihood, plus the alignment penalty when global transfer is on."""
     value = -float(forward(doc, params, ctx).sum())
     if ctx is not None and ctx.gvt_enabled:
-        from .transfer import gvt_penalty
-
-        value += gvt_penalty(params.W, ctx, alignments=params.alignments)
+        value += transfer.gvt_penalty(params.W, ctx, alignments=params.alignments)
     return value
 
 
@@ -187,9 +185,7 @@ def _doc_step(params, ctx, words, lvt, use_lvt, act):
     doc_loss = -logps.sum()
     gvt = None
     if ctx is not None and ctx.gvt_enabled:
-        from .transfer import gvt_gradients
-
-        penalty, dW, dA = gvt_gradients(params.W, ctx, alignments=params.alignments)
+        penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, alignments=params.alignments)
         doc_loss += penalty
         gvt = (dW, dA)
     return doc_loss, dw_cols, dU, db, dc, gvt
@@ -289,9 +285,7 @@ def train(corpus, config, ctx=None, validation=None):
 
         entry = EpochStats(epoch, total_loss / len(corpus))
         if gvt_on:
-            from .transfer import gvt_residual_norms
-
-            entry.gvt_residuals = gvt_residual_norms(params.W, ctx, params.alignments)
+            entry.gvt_residuals = transfer.gvt_residual_norms(params.W, ctx, params.alignments)
         if validation is not None:
             from .evaluate import perplexity
 

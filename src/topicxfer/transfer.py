@@ -75,14 +75,14 @@ class SourceWeight:
     lam: float = 0.0
     gamma: float = 0.0
 
-    def __post_init__(self):
-        if self.lam < 0 or self.gamma < 0:
-            raise ConfigError(f"source {self.source_id!r}: lambda and gamma must be >= 0")
-
 
 @dataclass
 class TransferSpec:
-    """Per-source transfer weights plus which views are active."""
+    """Per-source transfer weights plus which views are active.
+
+    lvt_weights and gvt_weights map each source taking part in a view (the
+    view is enabled and the source's weight for it positive) to that weight.
+    """
 
     sources: list[SourceWeight]
     lvt_enabled: bool = False
@@ -93,17 +93,33 @@ class TransferSpec:
         ids = [s.source_id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate source ids in transfer spec")
-        if self.lvt_enabled and not any(s.lam > 0 for s in self.sources):
+        for s in self.sources:
+            if s.lam < 0 or s.gamma < 0:
+                raise ConfigError(f"source {s.source_id!r}: lambda and gamma must be >= 0")
+        if self.lvt_enabled and not self.lvt_weights:
             raise ConfigError("local-view transfer enabled but every lambda is zero")
-        if self.gvt_enabled and not any(s.gamma > 0 for s in self.sources):
+        if self.gvt_enabled and not self.gvt_weights:
             raise ConfigError("global-view transfer enabled but every gamma is zero")
+
+    @staticmethod
+    def _positive(sources, weight):
+        """{source_id: weight} of the sources whose weight ("lam" or "gamma") is positive."""
+        return {s.source_id: getattr(s, weight) for s in sources if getattr(s, weight) > 0}
+
+    @property
+    def lvt_weights(self):
+        return self._positive(self.sources, "lam") if self.lvt_enabled else {}
+
+    @property
+    def gvt_weights(self):
+        return self._positive(self.sources, "gamma") if self.gvt_enabled else {}
 
     @classmethod
     def for_mode(cls, mode, weights, gvt_mask_oov=False):
         """Build a spec for a mode name, disabling views whose weights are all zero."""
         sources = [SourceWeight(sid, lam, gamma) for sid, lam, gamma in weights]
-        lvt = mode in ("lvt", "mvt") and any(s.lam > 0 for s in sources)
-        gvt = mode in ("gvt", "mvt") and any(s.gamma > 0 for s in sources)
+        lvt = mode in ("lvt", "mvt") and bool(cls._positive(sources, "lam"))
+        gvt = mode in ("gvt", "mvt") and bool(cls._positive(sources, "gamma"))
         return cls(sources, lvt_enabled=lvt, gvt_enabled=gvt, gvt_mask_oov=gvt_mask_oov)
 
     @property
@@ -114,8 +130,9 @@ class TransferSpec:
 class TransferContext:
     """Projected knowledge bases plus weights, ready to plug into training.
 
-    Alignment matrices are owned by the model parameters; model.ensure_alignments
-    starts each one at the identity.
+    Only the sources of the spec's per-view weights feed the local-view matrix
+    and the alignment penalty.  Alignment matrices are owned by the model
+    parameters; model.ensure_alignments starts each one at the identity.
     """
 
     def __init__(self, spec, projected, n_topics, target_vocab_size):
@@ -123,21 +140,15 @@ class TransferContext:
         self.projected = projected          # dict source_id -> ProjectedKB
         self.n_topics = n_topics
         self.target_vocab_size = target_vocab_size
+        self.lvt_weights = spec.lvt_weights
+        self.gvt_weights = spec.gvt_weights
         self.lvt_matrix = None
-        if spec.lvt_enabled:
-            combined = np.zeros((n_topics, target_vocab_size))
-            for sw in spec.sources:
-                if sw.lam > 0:
-                    combined += sw.lam * projected[sw.source_id].embeddings
-            self.lvt_matrix = combined
-
-    @property
-    def lvt_enabled(self):
-        return self.spec.lvt_enabled
-
-    @property
-    def gvt_enabled(self):
-        return self.spec.gvt_enabled
+        if self.lvt_weights:
+            self.lvt_matrix = np.zeros((n_topics, target_vocab_size))
+            for source_id, lam in self.lvt_weights.items():
+                self.lvt_matrix += lam * projected[source_id].embeddings
+        self.lvt_enabled = self.lvt_matrix is not None
+        self.gvt_enabled = bool(self.gvt_weights)
 
     @property
     def coverage(self):
@@ -145,22 +156,15 @@ class TransferContext:
 
     def gvt_source_ids(self):
         """Sources that take part in the alignment penalty."""
-        if not self.spec.gvt_enabled:
-            return []
-        return [sw.source_id for sw in self.spec.sources
-                if self.projected[sw.source_id].topics is not None]
+        return list(self.gvt_weights)
 
     def gvt_terms(self, alignments=None):
-        """Yield (source_id, gamma, Z', covered, A) for each penalty source."""
-        for sw in self.spec.sources:
-            pkb = self.projected[sw.source_id]
-            if pkb.topics is None:
-                continue
-            if alignments is not None and sw.source_id in alignments:
-                A = alignments[sw.source_id]
-            else:
-                A = np.eye(self.n_topics)
-            yield sw.source_id, sw.gamma, pkb.topics, pkb.covered, A
+        """Yield (source_id, gamma, Z', covered, A) for each penalty source (A = I if absent)."""
+        alignments = alignments or {}
+        for source_id, gamma in self.gvt_weights.items():
+            pkb = self.projected[source_id]
+            A = alignments[source_id] if source_id in alignments else np.eye(self.n_topics)
+            yield source_id, gamma, pkb.topics, pkb.covered, A
 
 
 class InferenceContext:
@@ -219,11 +223,11 @@ def make_transfer_context(kbs, target_vocab, spec, n_topics):
         if sw.source_id not in by_id:
             raise ConfigError(f"transfer spec references unknown source {sw.source_id!r}")
         kb = by_id[sw.source_id]
-        if spec.lvt_enabled and sw.lam > 0 and kb.embedding_dim != n_topics:
+        if sw.source_id in spec.lvt_weights and kb.embedding_dim != n_topics:
             raise ConfigError(
                 f"source {sw.source_id!r}: embedding dimension {kb.embedding_dim} "
                 f"must equal the model's topic count {n_topics} for local-view transfer")
-        if spec.gvt_enabled and sw.gamma > 0:
+        if sw.source_id in spec.gvt_weights:
             if kb.topics is None:
                 raise ConfigError(
                     f"source {sw.source_id!r} has no topic matrix; "

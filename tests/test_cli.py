@@ -85,6 +85,26 @@ def test_build_kb_and_transfer_train(tmp_path, family, capsys):
     assert (out / "lvt.mat").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--window", "1"],
+    ["eval", "--top-n", "1"],
+    ["eval", "--fractions", "0 0.5"],
+    ["topics", "--n", "0"],
+    ["nn", "--n", "0"],
+], ids=["eval-window", "eval-top-n", "eval-fractions", "topics-n", "nn-n"])
+def test_argument_error_is_single_line(tmp_path, family, capsys, args):
+    model = train_small(tmp_path, family)
+    word = (model / "vocab.txt").read_text().splitlines()[0]
+    needs = {"eval": ["--test", str(family / "test.txt"), "--train",
+                      str(family / "train.txt"), "--labeled"],
+             "topics": [], "nn": ["--word", word]}[args[0]]
+    capsys.readouterr()
+    rc = main([*args, "--model", str(model), *needs])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_import_embeddings(tmp_path, capsys):
     vectors = tmp_path / "vecs.txt"
     vectors.write_text("alpha 0.1 0.2 0.3\nbeta 0.4 0.5 0.6\n")
@@ -220,8 +240,14 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
     ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nsource.s1.kb = kb\n",
      "source.s1"),
     ("mode = lvt\ntarget.validation = v.txt\nsource.s1.lambda = 0.5\n", "source.s1"),
+    ("mode = baseline\ncoherence_window = 1\n", "coherence_window"),
+    ("mode = baseline\ncoherence_top_n = 1\n", "coherence_top_n"),
+    ("mode = baseline\neval_fractions = 0 0.5\n", "eval_fractions"),
+    ("mode = baseline\nmin_freq = 0\n", "min_freq"),
+    ("mode = baseline\nmax_vocab = 0\n", "max_vocab"),
 ], ids=["unknown-mode", "missing-validation", "empty-grid", "corpus-and-kb",
-        "neither-corpus-nor-kb"])
+        "neither-corpus-nor-kb", "coherence-window", "coherence-top-n", "eval-fractions",
+        "min-freq", "max-vocab"])
 def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"target.train = t.txt\ntarget.test = e.txt\nout = {tmp_path / 'out'}\n"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_vocab, random_doc
 from topicxfer.corpus import Corpus, Document, Vocabulary
-from topicxfer.errors import CorpusError
+from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import (EvalReport, coherence, model_vector_fn,
                                 nearest_neighbors, perplexity,
                                 retrieval_precision, top_words)
@@ -253,7 +253,7 @@ def test_coherence_invariant_to_topic_and_word_order(rng):
 def test_coherence_rejects_small_top_n(rng):
     vocab = make_vocab(3)
     reference = Corpus(vocab, [Document(np.array([0, 1]))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         coherence([["w0", "w1"]], reference, top_n=1)
 
 

@@ -125,7 +125,7 @@ def test_fingerprint_is_stable():
     config = ExperimentConfig(
         mode="baseline", target_train="t.txt", target_test="s.txt", out_dir="o",
         train=TrainConfig(learning_rate=0.01, epochs=20, seed=100, n_topics=3))
-    assert _fingerprint(config, [], False, False) == "585b620d7871ba71"
+    assert _fingerprint(config, None) == "585b620d7871ba71"
 
 
 def test_parse_config_missing_required(tmp_path):
@@ -442,3 +442,27 @@ def test_multi_source_with_embedding_only_kb(tmp_path):
     assert (model_dir / "A.s1.mat").exists()
     assert not (model_dir / "A.ext.mat").exists()
     assert (model_dir / "lvt.mat").exists()
+
+
+def test_zero_gamma_source_leaves_no_global_view_trace(tmp_path):
+    paths = small_family(tmp_path)
+    kwargs = base_kwargs(paths)
+    sources = [SourceConfig("s1", corpus_path=paths["source"]),
+               SourceConfig("s2", corpus_path=paths["source"], gamma_override=0.0)]
+    run_experiment(ExperimentConfig(mode="mvt", out_dir=str(tmp_path / "mvt"),
+                                    sources=sources, lambda_grid=[0.5], gamma_grid=[0.1],
+                                    **kwargs))
+    assert (tmp_path / "mvt" / "model" / "A.s1.mat").exists()
+    assert not (tmp_path / "mvt" / "model" / "A.s2.mat").exists()
+    log = (tmp_path / "mvt" / "train_log.txt").read_text()
+    assert "residual.s1" in log and "residual.s2" not in log
+
+    # a gvt run whose gammas are all zero trains the baseline model, whatever
+    # lambda a source pins
+    base = run_experiment(ExperimentConfig(mode="baseline", out_dir=str(tmp_path / "base"),
+                                           **kwargs))
+    gvt = run_experiment(ExperimentConfig(
+        mode="gvt", out_dir=str(tmp_path / "gvt"), gamma_grid=[0.0],
+        sources=[SourceConfig("s1", corpus_path=paths["source"], lam_override=0.5)],
+        **kwargs))
+    assert gvt.fingerprint == base.fingerprint

@@ -137,13 +137,37 @@ def test_softmax_minus_onehot_at_zero_params():
 
 
 def test_zero_gamma_zeroes_alignment_gradients(rng):
-    ctx = make_ctx(rng, 3, 5, modes=("lvt", "gvt"), n_sources=2, gamma=0.4)
-    ctx.spec.sources[1].gamma = 0.0
+    # a zero-gamma source takes no part in the penalty: no alignment, no gradient
+    vocab = make_vocab(5)
+    kbs = [KnowledgeBase(sid, vocab, rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
+           for sid in ("s0", "s1")]
+    spec = TransferSpec([SourceWeight("s0", 0.7, 0.4), SourceWeight("s1", 0.7, 0.0)],
+                        lvt_enabled=True, gvt_enabled=True)
+    ctx = make_transfer_context(kbs, vocab, spec, 3)
     p = init_params(3, 5, seed=1)
     ensure_alignments(p, ctx)
+    assert set(p.alignments) == {"s0"}
     g = gradients(random_doc(rng, 5, 4), p, ctx)
-    assert np.all(g.alignments["s1"] == 0.0)
+    assert set(g.alignments) == {"s0"}
     assert np.any(g.alignments["s0"] != 0.0)
+
+
+def test_zero_gamma_source_with_other_topic_count_trains(rng):
+    # gamma = 0 keeps s1 out of the global view, so its topic count need not be H
+    h, k = 3, 6
+    vocab = make_vocab(k)
+    kbs = [KnowledgeBase("s0", vocab, rng.normal(size=(h, k)), rng.normal(size=(h, k))),
+           KnowledgeBase("s1", vocab, rng.normal(size=(h, k)), rng.normal(size=(5, k)))]
+    spec = TransferSpec([SourceWeight("s0", gamma=0.3), SourceWeight("s1", gamma=0.0)],
+                        gvt_enabled=True)
+    ctx = make_transfer_context(kbs, vocab, spec, h)
+    corpus = Corpus(vocab, [random_doc(rng, k, 5) for _ in range(4)])
+    validation = Corpus(vocab, [random_doc(rng, k, 5) for _ in range(2)])
+    params, stats = train(corpus, TrainConfig(epochs=2, n_topics=h, learning_rate=0.05),
+                          ctx, validation)
+    assert ctx.gvt_source_ids() == ["s0"]
+    assert set(params.alignments) == {"s0"}
+    assert all(set(s.gvt_residuals) == {"s0"} for s in stats)
 
 
 def _fd_check(doc, params, ctx, eps=1e-5, rtol=1e-4, atol=1e-7):
