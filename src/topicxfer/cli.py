@@ -18,7 +18,8 @@ from dataclasses import replace
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       all_topics, nearest_neighbors)
+                       all_topics, check_fractions, check_top_n, check_window,
+                       nearest_neighbors)
 from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings
 from .harness import evaluate_model, load_target, parse_config, run_experiment
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
@@ -197,6 +198,13 @@ def _cmd_transfer_train(args):
 
 
 def _cmd_eval(args):
+    # range errors name their flag or --config entry, before the bundle loads
+    for key, check in (("coherence_window", check_window), ("coherence_top_n", check_top_n),
+                       ("eval_fractions", check_fractions)):
+        try:
+            check(getattr(args, key))
+        except ConfigError as exc:
+            raise ConfigError(f"{args.options.origin(args, key)}: {exc}") from None
     params, vocabulary, _, lvt = load_model(args.model)
     ctx = InferenceContext(lvt) if lvt is not None else None
     report, _ = evaluate_model(

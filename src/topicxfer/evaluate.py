@@ -4,6 +4,7 @@ retrieval precision at recall fractions, and topic / nearest-neighbor inspection
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -150,9 +151,11 @@ def coherence(topics, reference, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
 
     Word and pair probabilities are window-containment counts divided by the
     total window count; windows run at stride 1 within each reference document
-    (a document shorter than the window is a single window).  Pairs with zero
-    joint count score -1, as do pairs involving a word absent from the
-    reference vocabulary.
+    (a document shorter than the window is a single window).  A pair scores -1
+    when its joint count is zero, when either word is absent from the
+    reference vocabulary, and when a topic repeats a word (the pair of a word
+    with itself).  Only the distinct pairs of distinct reference words that
+    some topic scores are counted.
     """
     check_top_n(top_n)
     check_window(window)
@@ -172,9 +175,24 @@ def coherence(topics, reference, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
         log.info("coherence: %d topic words absent from the reference vocabulary: %s",
                  len(missing), ", ".join(missing[:10]))
     tracked_id = {w: i for i, w in enumerate(tracked)}
+
+    def pair_key(w1, w2):
+        """The (i1, i2) tracked ids, i1 < i2, whose joint count scores the pair;
+        None for a pair that scores -1 uncounted."""
+        i1, i2 = tracked_id.get(w1), tracked_id.get(w2)
+        if i1 is None or i2 is None or i1 == i2:
+            return None
+        return (i1, i2) if i1 < i2 else (i2, i1)
+
+    topic_keys = [[pair_key(w1, w2) for w1, w2 in itertools.combinations(words, 2)]
+                  for words in clipped]
+    scored = sorted({key for keys in topic_keys for key in keys if key is not None})
+    slot = {key: k for k, key in enumerate(scored)}
+    p1 = np.array([i1 for i1, _ in scored], dtype=np.int64)
+    p2 = np.array([i2 for _, i2 in scored], dtype=np.int64)
     m = len(tracked)
     singles = np.zeros(m, dtype=np.int64)
-    joints = np.zeros((m, m), dtype=np.int64)
+    joints = np.zeros(len(scored), dtype=np.int64)
     total_windows = 0
     if m > 0:
         vocab_to_tracked = np.full(len(vocab), -1, dtype=np.int64)
@@ -182,29 +200,27 @@ def coherence(topics, reference, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
             vocab_to_tracked[vocab.index(w)] = i
         for doc in reference:
             mapped = vocab_to_tracked[doc.words]
-            s, j, nw = kernels.window_counts(mapped, m, window)
+            s, j, nw = kernels.window_counts(mapped, m, p1, p2, window)
             singles += s
             joints += j
             total_windows += nw
 
-    def pair_npmi(w1, w2):
-        if w1 not in tracked_id or w2 not in tracked_id:
+    def pair_npmi(key):
+        if key is None:
             return -1.0
-        i1, i2 = tracked_id[w1], tracked_id[w2]
-        joint = joints[i1, i2]
+        joint = joints[slot[key]]
         if joint == 0:
             return -1.0
         p12 = joint / total_windows
         if p12 >= 1.0:
             return 1.0
-        p1 = singles[i1] / total_windows
-        p2 = singles[i2] / total_windows
-        return math.log(p12 / (p1 * p2)) / (-math.log(p12))
+        pr1 = singles[key[0]] / total_windows
+        pr2 = singles[key[1]] / total_windows
+        return math.log(p12 / (pr1 * pr2)) / (-math.log(p12))
 
     topic_scores = []
-    for words in clipped:
-        pair_scores = [pair_npmi(words[x], words[y])
-                       for x in range(len(words)) for y in range(x + 1, len(words))]
+    for keys in topic_keys:
+        pair_scores = [pair_npmi(key) for key in keys]
         topic_scores.append(sum(pair_scores) / len(pair_scores))
     return sum(topic_scores) / len(topic_scores)
 

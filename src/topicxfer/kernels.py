@@ -21,11 +21,16 @@ doc_grads(...) same inputs, returns
     where dw_cols[q] is the loss gradient w.r.t. the W column of word doc[q]
     (zero for the last position: its column feeds no later step).
 
-window_counts(doc, n_tracked, window)
-    doc : int64 (D,) of tracked-word ids, -1 for untracked tokens.
+window_counts(doc, n_tracked, p1, p2, window)
+    doc : int64 (D,) of tracked-word ids in [0, n_tracked), -1 for untracked
+          tokens.
+    p1, p2 : int64 (P,) tracked-id pairs to count jointly (the caller scores
+          only these; p1[k] != p2[k]).
     Counts sliding windows of the given width at stride 1 (a document shorter
-    than the window is one window).  Returns (singles (M,), joints (M, M)
-    symmetric with zero diagonal, n_windows).
+    than the window is one window; an empty one has none).  Returns
+    (singles (n_tracked,), joints (P,), n_windows), all int64 counts of
+    windows: singles[i] contain word i, joints[k] contain both p1[k] and
+    p2[k].
 """
 
 import numpy as np
@@ -104,12 +109,10 @@ def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
     return logps, dw_cols, dU, db, dc
 
 
-def window_counts(doc, n_tracked, window):
+def window_counts(doc, n_tracked, p1, p2, window):
     D = doc.shape[0]
-    singles = np.zeros(n_tracked, dtype=np.int64)
-    joints = np.zeros((n_tracked, n_tracked), dtype=np.int64)
     if D == 0:
-        return singles, joints, 0
+        return np.zeros(n_tracked, dtype=np.int64), np.zeros(p1.shape[0], dtype=np.int64), 0
     width = min(window, D)
     n_windows = D - width + 1
     hits = np.zeros((n_tracked, D + 1), dtype=np.int64)
@@ -117,8 +120,6 @@ def window_counts(doc, n_tracked, window):
     np.add.at(hits, (doc[mask], np.flatnonzero(mask) + 1), 1)
     prefix = np.cumsum(hits, axis=1)
     present = (prefix[:, width:width + n_windows] - prefix[:, :n_windows]) > 0
-    singles = present.sum(axis=1).astype(np.int64)
-    joints = (present.astype(np.int64) @ present.T.astype(np.int64))
-    np.fill_diagonal(joints, 0)
-    return singles, joints, n_windows
-
+    both = present[p1]
+    both &= present[p2]
+    return present.sum(axis=1, dtype=np.int64), both.sum(axis=1, dtype=np.int64), n_windows

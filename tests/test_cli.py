@@ -272,6 +272,26 @@ def test_train_range_error_names_flag_or_config_key(tmp_path, family, capsys, or
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, key, value", [
+    ("--window", "coherence_window", "1"),
+    ("--top-n", "coherence_top_n", "1"),
+    ("--fractions", "eval_fractions", "0 0.5"),
+], ids=["window", "top-n", "fractions"])
+@pytest.mark.parametrize("origin", ["flag", "config"])
+def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, capsys, origin,
+                                                                  flag, key, value):
+    # the bundle does not exist, so only a check made before loading it can name the flag
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    given = [flag, value] if origin == "flag" else ["--config", str(cfg)]
+    rc = main(["eval", "--model", str(tmp_path / "missing"), "--test",
+               str(tmp_path / "test.txt"), *given])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    where = flag if origin == "flag" else f"{cfg}: {key}"
+    assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+
+
 def test_malformed_bundle_meta_is_single_line_error(tmp_path, family, capsys):
     model = train_small(tmp_path, family)
     meta = model / "meta.txt"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,35 @@ def test_coherence_never_cooccurring_pair():
     docs = [Document(np.array([0, 2])), Document(np.array([1, 2]))]
     reference = Corpus(vocab, docs)
     assert coherence([["a", "b"]], reference, window=2, top_n=2) == -1.0
+
+
+def test_coherence_repeated_word_pair_scores_minus_one():
+    # windows {a, b} and {x}: NPMI(a, b) = log(0.5 / 0.25) / -log(0.5) = 1, and the
+    # pair of a with itself scores -1, though a word always co-occurs with itself
+    vocab = Vocabulary(["a", "b", "x"])
+    reference = Corpus(vocab, [Document(np.array([0, 1])), Document(np.array([2, 2]))])
+    assert coherence([["a", "b"]], reference, window=2, top_n=2) == 1.0
+    got = coherence([["a", "a", "b"]], reference, window=2, top_n=3)
+    # pairs (a, a), (a, b), (a, b)
+    assert got == (-1.0 + 1.0 + 1.0) / 3
+
+
+def test_coherence_memory_grows_with_scored_pairs_not_tracked_words(rng):
+    # 1500 tracked words but only 150 * 45 scored pairs: a tracked x tracked
+    # int64 count matrix alone would take 18 MB
+    k = 1500
+    vocab = make_vocab(k)
+    reference = Corpus(vocab, [Document(rng.integers(0, k, size=20).astype(np.int64))
+                               for _ in range(5)])
+    words = [f"w{i}" for i in rng.permutation(k)]
+    topics = [words[10 * t:10 * t + 10] for t in range(150)]
+    tracemalloc.start()
+    try:
+        coherence(topics, reference, window=10, top_n=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_coherence_matches_window_enumeration_oracle(rng):

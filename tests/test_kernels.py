@@ -104,10 +104,10 @@ def test_in_place_log_softmax_keeps_inputs_and_bits(rng, act, use_lvt):
 
 
 def _brute_force_windows(doc, n_tracked, window):
-    """Oracle: enumerate every window explicitly."""
+    """Oracle: enumerate every window explicitly (an empty document has none)."""
     d = len(doc)
     width = min(window, d)
-    starts = range(d - width + 1)
+    starts = range(d - width + 1) if d else range(0)
     singles = np.zeros(n_tracked, dtype=np.int64)
     joints = np.zeros((n_tracked, n_tracked), dtype=np.int64)
     for s in starts:
@@ -117,16 +117,25 @@ def _brute_force_windows(doc, n_tracked, window):
             for iy in seen[x + 1:]:
                 joints[ix, iy] += 1
                 joints[iy, ix] += 1
-    return singles, joints, len(list(starts))
+    return singles, joints, len(starts)
 
 
 @pytest.mark.parametrize("window", [2, 3, 7, 40])
 def test_window_counts_match_enumeration(rng, window):
-    for _ in range(10):
-        d = int(rng.integers(1, 30))
-        doc = rng.integers(-1, 5, size=d).astype(np.int64)
-        got = kernels.window_counts(doc, 5, window)
-        want = _brute_force_windows(doc, 5, window)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
+    """Singles, the joints of the requested pairs only, and the window count."""
+    n_tracked = 5
+    all_p1, all_p2 = (p.astype(np.int64) for p in np.triu_indices(n_tracked, k=1))
+    docs = [rng.integers(-1, n_tracked, size=int(rng.integers(1, 30))) for _ in range(10)]
+    # an empty document, and a long one with many windows (D >> window)
+    docs += [np.zeros(0), rng.integers(-1, n_tracked, size=600)]
+    for doc in docs:
+        doc = doc.astype(np.int64)
+        want_singles, want_joints, want_windows = _brute_force_windows(doc, n_tracked, window)
+        # every pair; a subset in either orientation; no pair at all
+        pick = np.sort(rng.choice(all_p1.size, size=4, replace=False))
+        for p1, p2 in ((all_p1, all_p2), (all_p2[pick], all_p1[pick]), (all_p1[:0], all_p2[:0])):
+            singles, joints, n_windows = kernels.window_counts(doc, n_tracked, p1, p2, window)
+            assert singles.dtype == np.int64 and joints.dtype == np.int64
+            assert np.array_equal(singles, want_singles)
+            assert np.array_equal(joints, want_joints[p1, p2])
+            assert n_windows == want_windows
