@@ -23,10 +23,13 @@ def write_matrix(path, mat):
     if mat.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D array, got shape {mat.shape}")
     rows, cols = mat.shape
+    # one C-level format per row gives format_float's text; row by row, so the
+    # text of the whole matrix is never held at once
+    row_fmt = " ".join(["%.17g"] * cols) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{rows} {cols}\n")
         for r in range(rows):
-            fh.write(" ".join(format_float(v) for v in mat[r]) + "\n")
+            fh.write(row_fmt % tuple(mat[r].tolist()))
 
 
 def read_matrix(path, shape=None):
@@ -48,6 +51,8 @@ def read_matrix(path, shape=None):
                 mat[r] = [float(p) for p in parts]
             except ValueError:
                 raise CorpusError(f"{path}: row {r} has a non-numeric value") from None
+        if any(line.strip() for line in fh):
+            raise CorpusError(f"{path}: data after the {rows} declared rows")
     if not np.isfinite(mat).all():
         raise CorpusError(f"{path}: matrix contains non-finite values")
     if shape is not None and mat.shape != shape:
@@ -65,7 +70,8 @@ def write_kv(path, items):
 def read_kv(path, error=CorpusError):
     """Read ``key = value`` lines, skipping blanks and ``#`` comments.
 
-    A line without ``=`` raises ``error`` naming the path and line number.
+    A line without ``=``, or a key given twice, raises ``error`` naming the
+    path and line number.
     """
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -75,8 +81,10 @@ def read_kv(path, error=CorpusError):
                 continue
             if "=" not in line:
                 raise error(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise error(f"{path}: line {lineno}: duplicate key {key!r}")
+            out[key] = value
     return out
 
 

@@ -30,7 +30,8 @@ window_counts(doc, n_tracked, p1, p2, window)
     than the window is one window; an empty one has none).  Returns
     (singles (n_tracked,), joints (P,), n_windows), all int64 counts of
     windows: singles[i] contain word i, joints[k] contain both p1[k] and
-    p2[k].
+    p2[k].  Memory grows with the tracked words the document contains, not
+    with n_tracked.
 """
 
 import numpy as np
@@ -42,6 +43,9 @@ ACT_TANH = 1
 BACKEND = "numpy"
 
 EMPTY_LVT = np.zeros((0, 0))
+
+# size cap of window_counts' per-block temporaries
+_BLOCK_BYTES = 1 << 20
 
 
 def _activation(pre, act):
@@ -111,15 +115,41 @@ def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
 
 def window_counts(doc, n_tracked, p1, p2, window):
     D = doc.shape[0]
+    singles = np.zeros(n_tracked, dtype=np.int64)
+    joints = np.zeros(p1.shape[0], dtype=np.int64)
     if D == 0:
-        return np.zeros(n_tracked, dtype=np.int64), np.zeros(p1.shape[0], dtype=np.int64), 0
+        return singles, joints, 0
     width = min(window, D)
     n_windows = D - width + 1
-    hits = np.zeros((n_tracked, D + 1), dtype=np.int64)
-    mask = doc >= 0
-    np.add.at(hits, (doc[mask], np.flatnonzero(mask) + 1), 1)
-    prefix = np.cumsum(hits, axis=1)
-    present = (prefix[:, width:width + n_windows] - prefix[:, :n_windows]) > 0
-    both = present[p1]
-    both &= present[p2]
-    return present.sum(axis=1, dtype=np.int64), both.sum(axis=1, dtype=np.int64), n_windows
+    # only the tracked words that occur get a row: row_of maps a tracked id to
+    # its row (-1 when absent), rows[j] is the row of the token at pos[j]
+    pos = np.flatnonzero(doc >= 0)
+    row_of = np.full(n_tracked, -1, dtype=np.int64)
+    row_of[doc[pos]] = 0
+    ids = np.flatnonzero(row_of == 0)
+    row_of[ids] = np.arange(ids.size)
+    rows = row_of[doc[pos]]
+    # present[r, s]: word ids[r] occurs in window s, from hit-count prefix
+    # sums over blocks of rows, so no temporary exceeds _BLOCK_BYTES; a
+    # position holds one token, so each hit is set once
+    present = np.empty((ids.size, n_windows), dtype=bool)
+    step = max(1, _BLOCK_BYTES // (8 * (D + 1)))
+    for lo in range(0, ids.size, step):
+        hi = min(lo + step, ids.size)
+        block = (rows >= lo) & (rows < hi)
+        prefix = np.zeros((hi - lo, D + 1), dtype=np.int64)
+        prefix[rows[block] - lo, pos[block] + 1] = 1
+        np.cumsum(prefix, axis=1, out=prefix)
+        np.greater(prefix[:, width:width + n_windows], prefix[:, :n_windows],
+                   out=present[lo:hi])
+    singles[ids] = present.sum(axis=1)
+    # a pair with an absent word has no joint window
+    r1, r2 = row_of[p1], row_of[p2]
+    counted = np.flatnonzero((r1 >= 0) & (r2 >= 0))
+    step = max(1, _BLOCK_BYTES // n_windows)
+    for lo in range(0, counted.size, step):
+        k = counted[lo:lo + step]
+        both = present[r1[k]]
+        both &= present[r2[k]]
+        joints[k] = both.sum(axis=1)
+    return singles, joints, n_windows

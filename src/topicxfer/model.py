@@ -273,15 +273,22 @@ def train(corpus, config, ctx=None, validation=None):
 
             # unbuffered, in position order: a repeated word's updates land
             # one after another, as a per-word loop would apply them
-            np.subtract.at(params.W.T, words, lr * dw_cols)
-            params.U -= lr * dU
-            params.b -= lr * db
-            params.c -= lr * dc
+            # the gradients are fresh arrays, so they are scaled in place
+            dw_cols *= lr
+            np.subtract.at(params.W.T, words, dw_cols)
+            dU *= lr
+            params.U -= dU
+            db *= lr
+            params.b -= db
+            dc *= lr
+            params.c -= dc
             if gvt is not None:
                 dW, dA = gvt
-                params.W -= lr * dW
+                dW *= lr
+                params.W -= dW
                 for sid, grad in dA.items():
-                    params.alignments[sid] -= lr * grad
+                    grad *= lr
+                    params.alignments[sid] -= grad
 
         entry = EpochStats(epoch, total_loss / len(corpus))
         if gvt_on:

@@ -242,7 +242,8 @@ def make_transfer_context(kbs, target_vocab, spec, n_topics):
 
 def _residuals(W, ctx, alignments):
     for source_id, gamma, Z, covered, A in ctx.gvt_terms(alignments):
-        R = A @ W - Z
+        R = A @ W
+        R -= Z
         if ctx.spec.gvt_mask_oov:
             R[:, ~covered] = 0.0
         yield source_id, gamma, R, A
@@ -262,17 +263,28 @@ def gvt_gradients(W, ctx, alignments=None):
     """gvt_penalty and its gradients from one residual per source.
 
     Returns (penalty, d/dW, {source_id: d/dA^k}); the penalty is bit-equal to
-    gvt_penalty(W, ctx, alignments).
+    gvt_penalty(W, ctx, alignments).  Every returned gradient is a fresh array,
+    so a caller may scale it in place.
     """
     if not ctx.gvt_enabled:
         raise ConfigError("global-view transfer is not enabled in this context")
     total = 0.0
-    dW = np.zeros_like(W)
+    dW = None
     dA = {}
     for source_id, gamma, R, A in _residuals(W, ctx, alignments):
         total += gamma * float(np.vdot(R, R))
-        dW += 2.0 * gamma * (A.T @ R)
-        dA[source_id] = 2.0 * gamma * (R @ W.T)
+        scale = 2.0 * gamma
+        term = A.T @ R
+        term *= scale
+        if dW is None:
+            # the sum starts from zeros, which turns a -0.0 term into +0.0
+            term += 0.0
+            dW = term
+        else:
+            dW += term
+        grad = R @ W.T
+        grad *= scale
+        dA[source_id] = grad
     return total, dW, dA
 
 

@@ -258,6 +258,28 @@ def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     assert err.startswith(f"error: {cfg}: {key}: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["experiment", "train"])
+def test_repeated_config_key_is_single_line_error(tmp_path, family, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    out = tmp_path / "out"
+    if command == "experiment":
+        cfg.write_text(f"mode = baseline\ntarget.train = {family / 'train.txt'}\n"
+                       f"target.test = {family / 'test.txt'}\nout = {out}\n"
+                       "epochs = 5\nepochs = 7\n")
+        args = ["experiment", "--config", str(cfg)]
+    else:
+        cfg.write_text("epochs = 5\ntopics = 3\nepochs = 7\n")
+        args = ["train", "--train", str(family / "train.txt"), "--config", str(cfg),
+                "--out", str(out)]
+    rc = main(args)
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    line = 6 if command == "experiment" else 3
+    assert err == f"error: {cfg}: line {line}: duplicate key 'epochs'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("origin", ["flag", "config"])
 def test_train_range_error_names_flag_or_config_key(tmp_path, family, capsys, origin):
     cfg = tmp_path / "defaults.cfg"

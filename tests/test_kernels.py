@@ -1,5 +1,7 @@
 """Brute-force oracles for the hot kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,47 @@ def test_window_counts_match_enumeration(rng, window):
             assert np.array_equal(singles, want_singles)
             assert np.array_equal(joints, want_joints[p1, p2])
             assert n_windows == want_windows
+
+
+@pytest.mark.parametrize("block_bytes", [kernels._BLOCK_BYTES, 64])
+def test_window_counts_with_absent_words_match_enumeration(rng, monkeypatch, block_bytes):
+    """Most tracked words do not occur; tiny blocks split rows and pairs into many blocks."""
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+    n_tracked = 30
+    p1, p2 = (p.astype(np.int64) for p in np.triu_indices(n_tracked, k=1))
+    present = rng.choice(n_tracked, size=6, replace=False)
+    for size, window in ((1, 5), (12, 5), (200, 9), (200, 400)):
+        doc = np.where(rng.random(size) < 0.2, -1, rng.choice(present, size=size))
+        doc = doc.astype(np.int64)
+        want_singles, want_joints, want_windows = _brute_force_windows(doc, n_tracked, window)
+        singles, joints, n_windows = kernels.window_counts(doc, n_tracked, p1, p2, window)
+        assert np.array_equal(singles, want_singles)
+        assert np.array_equal(joints, want_joints[p1, p2])
+        assert n_windows == want_windows
+
+
+def test_window_counts_memory_on_a_long_document(rng):
+    """A 5000-token document, ~1250 tracked words, ~9000 pairs: the per-document
+    temporaries grow with the words present, not with an n_tracked x D table
+    (185 MiB when every tracked word had a row of hit counts)."""
+    n_tracked, size, window = 1253, 5000, 110
+    doc = rng.integers(0, n_tracked, size=size).astype(np.int64)
+    doc[rng.random(size) < 0.3] = -1
+    i, j = np.triu_indices(n_tracked, k=1)
+    pick = np.sort(rng.choice(i.size, size=8968, replace=False))
+    p1, p2 = i[pick].astype(np.int64), j[pick].astype(np.int64)
+    tracemalloc.start()
+    try:
+        singles, joints, n_windows = kernels.window_counts(doc, n_tracked, p1, p2, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert n_windows == size - window + 1
+    # spot-check some pairs and words against a direct window scan
+    starts = np.arange(n_windows)[:, None] + np.arange(window)
+    for k in rng.choice(p1.size, size=20, replace=False):
+        has1 = (doc[starts] == p1[k]).any(axis=1)
+        has2 = (doc[starts] == p2[k]).any(axis=1)
+        assert joints[k] == np.count_nonzero(has1 & has2)
+        assert singles[p1[k]] == np.count_nonzero(has1)

@@ -436,6 +436,15 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
         load_model(bundle)
 
 
+def test_load_model_rejects_repeated_meta_key(tmp_path):
+    bundle = tmp_path / "bundle"
+    save_model(init_params(3, 6, seed=8), make_vocab(6), bundle)
+    meta = bundle / "meta.txt"
+    meta.write_text(meta.read_text() + "H=4\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{meta}: line ") + r"\d+: duplicate key 'H'"):
+        load_model(bundle)
+
+
 def test_loss_is_nonnegative(rng):
     ctx = make_ctx(rng, 3, 5, modes=("gvt",), gamma=0.7)
     p = init_params(3, 5, seed=12, init_scale=0.8)

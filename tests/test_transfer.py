@@ -246,6 +246,23 @@ def test_gvt_gradients_match_finite_differences(rng):
             assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+def _reference_gvt_gradients(W, ctx, alignments):
+    """d/dW and d/dA of the penalty as written first: zeros plus each source's term."""
+    dW = np.zeros_like(W)
+    dA = {}
+    for sid, gamma, Z, covered, A in ctx.gvt_terms(alignments):
+        R = A @ W - Z
+        if ctx.spec.gvt_mask_oov:
+            R[:, ~covered] = 0.0
+        dW += 2.0 * gamma * (A.T @ R)
+        dA[sid] = 2.0 * gamma * (R @ W.T)
+    return dW, dA
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("mask", [False, True])
 def test_gvt_gradients_penalty_is_bit_equal_to_gvt_penalty(rng, mask):
     target = Vocabulary(["a", "b", "c", "d", "e"])
@@ -255,9 +272,46 @@ def test_gvt_gradients_penalty_is_bit_equal_to_gvt_penalty(rng, mask):
     ctx = make_transfer_context(kbs, target, spec, 3)
     W = rng.normal(size=(3, 5))
     alignments = {"s0": rng.normal(size=(3, 3)), "s1": rng.normal(size=(3, 3))}
-    penalty, _, dA = gvt_gradients(W, ctx, alignments=alignments)
+    penalty, dW, dA = gvt_gradients(W, ctx, alignments=alignments)
     assert penalty == gvt_penalty(W, ctx, alignments=alignments)
     assert sorted(dA) == ["s0", "s1"]
+    # the gradients, signed zeros included, match the zeros-start reference
+    want_dW, want_dA = _reference_gvt_gradients(W, ctx, alignments)
+    assert _same_bits(dW, want_dW)
+    for sid in dA:
+        assert _same_bits(dA[sid], want_dA[sid])
+
+
+def test_gvt_gradients_sum_turns_negative_zero_positive():
+    # 2 * 0.1 * -5e-324 underflows to -0.0; a sum started from zeros gives +0.0
+    vocab = Vocabulary(["a", "b", "c"])
+    kb = KnowledgeBase("s", vocab, np.zeros((3, 3)), np.zeros((3, 3)))
+    spec = TransferSpec([SourceWeight("s", gamma=0.1)], gvt_enabled=True)
+    ctx = make_transfer_context([kb], vocab, spec, 3)
+    W = np.zeros((3, 3))
+    W[0, 1] = -5e-324
+    _, dW, _ = gvt_gradients(W, ctx)
+    assert _same_bits(dW, _reference_gvt_gradients(W, ctx, {})[0])
+    assert not np.signbit(dW).any()
+
+
+def test_gvt_gradients_leave_inputs_alone_and_return_fresh_arrays(rng):
+    # train() scales the returned gradients in place
+    target = Vocabulary(["a", "b", "c", "d"])
+    kbs = [random_kb(rng, "s0", 3, ["a", "b"]), random_kb(rng, "s1", 3, ["b", "c", "d"])]
+    spec = TransferSpec([SourceWeight("s0", gamma=0.4), SourceWeight("s1", gamma=0.3)],
+                        gvt_enabled=True, gvt_mask_oov=True)
+    ctx = make_transfer_context(kbs, target, spec, 3)
+    W = rng.normal(size=(3, 4))
+    alignments = {"s0": rng.normal(size=(3, 3)), "s1": rng.normal(size=(3, 3))}
+    inputs = [W, *alignments.values(), *(pkb.topics for pkb in ctx.projected.values())]
+    before = [arr.copy() for arr in inputs]
+    _, dW, dA = gvt_gradients(W, ctx, alignments=alignments)
+    for arr, old in zip(inputs, before):
+        assert np.array_equal(arr, old)
+    grads = [dW, *dA.values()]
+    for i, grad in enumerate(grads):
+        assert not any(np.shares_memory(grad, arr) for arr in inputs + grads[:i])
 
 
 def test_gvt_mask_oov_excludes_uncovered_columns(rng):
