@@ -90,6 +90,22 @@ class Vocabulary:
             raise CorpusError(f"{path}: {exc}") from None
 
 
+def word_indices(words, empty_message):
+    """words as a contiguous int64 (D,) array; CorpusError for any other shape or dtype.
+
+    An empty input raises CorpusError(empty_message).  Floats and bools are
+    refused rather than truncated to indices.
+    """
+    arr = np.asarray(words)
+    if arr.ndim != 1:
+        raise CorpusError(f"word indices must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise CorpusError(empty_message)
+    if arr.dtype.kind not in "iu":
+        raise CorpusError(f"word indices must be integers, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 @dataclass
 class Document:
     """One encoded document: vocabulary indices in order, optional label index."""
@@ -98,9 +114,7 @@ class Document:
     label: int | None = None
 
     def __post_init__(self):
-        self.words = np.asarray(self.words, dtype=np.int64)
-        if self.words.ndim != 1 or self.words.size == 0:
-            raise CorpusError("documents must contain at least one word index")
+        self.words = word_indices(self.words, "documents must contain at least one word index")
 
     def __len__(self):
         return int(self.words.size)

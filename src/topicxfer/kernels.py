@@ -2,9 +2,33 @@
 
 All kernels are vectorized numpy: a cumulative sum gives every position's
 pre-activation at once and one GEMM gives every position's logits.  The
-softmax then works in place on that (K, D) logits block; no kernel writes to
-its inputs.  Both kernels take their log-probabilities from one log-softmax,
-so doc_forward and doc_grads give bit-equal logps for the same inputs.
+activation works in place on the (H, D) pre-activation buffer and the
+softmax in place on the (K, D) logits block; no kernel writes to its inputs.
+Both kernels take their log-probabilities from one log-softmax, so
+doc_forward and doc_grads give bit-equal logps for the same inputs.  On short
+documents a call costs numpy dispatches, not arithmetic, so the kernels make
+as few calls as they can.
+
+What fixes the bits
+-------------------
+Elementwise operations give the same bits in any buffer or layout, in place
+or not, as long as each keeps its operands: a + b and b + a are the same
+bits, but (a + b) + c and a + (b + c) need not be.  Beyond that, the output
+bits depend on these operations, and only these, being kept as they are:
+
+- the sequential np.add.accumulate scans: the pre-activation prefix sums,
+  left to right over positions, and the dw_cols suffix sums, right to left;
+- the sequential axis-0 reduction z, the column sums of the (K, D) block,
+  added one row after another;
+- the pairwise sums over a contiguous axis: db, the row sums of the (K, D)
+  block, and the caller's sum of logps (numpy's pairwise blocking depends on
+  the length);
+- the three BLAS GEMMs U @ hid, dlogits @ hid.T and U.T @ dlogits, with
+  these operand layouts (their bits also depend on the BLAS thread count).
+
+The column maximum m is order-free.  So an elementwise pass or the maximum
+may be moved into another buffer or layout freely.  A reordered sum changes
+the bits, and a GEMM operand in another layout can change them.
 
 Kernel contracts
 ----------------
@@ -48,79 +72,107 @@ EMPTY_LVT = np.zeros((0, 0))
 _BLOCK_BYTES = 1 << 20
 
 
-def _activation(pre, act):
+def _activate(pre, act):
+    """The activation of pre, in place; returns pre."""
     if act == ACT_TANH:
-        return np.tanh(pre)
-    return 1.0 / (1.0 + np.exp(-pre))
+        return np.tanh(pre, out=pre)
+    # 1 / (1 + exp(-pre)), one IEEE operation at a time
+    np.negative(pre, out=pre)
+    np.exp(pre, out=pre)
+    pre += 1.0
+    return np.divide(1.0, pre, out=pre)
 
 
 def _pre_activations(doc, W, c, lvt, use_lvt):
-    """Per-position pre-activations (H, D) plus the final one (H,)."""
-    cols = W[:, doc]
+    """Per-position pre-activations (H, D) and the gathered word columns (H, D)."""
+    cols = W.take(doc, axis=1)
     if use_lvt:
-        cols = cols + lvt[:, doc]
-    D = doc.shape[0]
-    pre = np.empty((c.shape[0], D))
+        cols += lvt.take(doc, axis=1)
+    pre = np.empty_like(cols)
     pre[:, 0] = c
-    if D > 1:
-        pre[:, 1:] = c[:, None] + np.cumsum(cols[:, :-1], axis=1)
-    return pre, pre[:, -1] + cols[:, -1]
+    np.add.accumulate(cols[:, :-1], axis=1, out=pre[:, 1:])
+    pre[:, 1:] += c[:, None]
+    return pre, cols
 
 
-def _shifted_exp(doc, U, b, hid):
+def _shifted_exp(flat_idx, U, b, hid):
     """Picked log-probabilities (D,), exp(logits - m) (K, D) and its column sums z (D,).
 
-    m is the column maximum of the logits.  The exponentials overwrite the
-    logits block in place; the picked logits are gathered before that.  The
-    one log-softmax form, picked - (m + log z), serves both kernels.
+    flat_idx[q] = doc[q] * D + q is the flat position of word q's logit.  m is
+    the column maximum of the logits.  The exponentials overwrite the logits
+    block in place; the picked logits are gathered before that.  The one
+    log-softmax form, picked - (m + log z), serves both kernels.
     """
     logits = U @ hid
     logits += b[:, None]
-    picked = logits[doc, np.arange(doc.shape[0])]
-    m = logits.max(axis=0)
+    picked = logits.take(flat_idx)
+    m = np.maximum.reduce(logits, axis=0)
     logits -= m
     np.exp(logits, out=logits)
-    z = logits.sum(axis=0)
-    return picked - (m + np.log(z)), logits, z
+    z = np.add.reduce(logits, axis=0)
+    lz = np.log(z)
+    lz += m
+    picked -= lz
+    return picked, logits, z
+
+
+def _flat_index(doc):
+    D = doc.shape[0]
+    return doc * D + np.arange(D)
 
 
 def doc_forward(doc, W, U, b, c, lvt, use_lvt, act):
-    pre, final = _pre_activations(doc, W, c, lvt, use_lvt)
-    hid = _activation(pre, act)
-    logps, _, _ = _shifted_exp(doc, U, b, hid)
+    hid, cols = _pre_activations(doc, W, c, lvt, use_lvt)
+    final = hid[:, -1] + cols[:, -1]
+    _activate(hid, act)
+    logps, _, _ = _shifted_exp(_flat_index(doc), U, b, hid)
     return logps, hid.T, final
 
 
 def doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
     D = doc.shape[0]
-    pre, _ = _pre_activations(doc, W, c, lvt, use_lvt)
-    hid = _activation(pre, act)
-    logps, dlogits, z = _shifted_exp(doc, U, b, hid)
+    hid, _ = _pre_activations(doc, W, c, lvt, use_lvt)
+    _activate(hid, act)
+    flat_idx = _flat_index(doc)
+    logps, dlogits, z = _shifted_exp(flat_idx, U, b, hid)
     dlogits /= z
-    dlogits[doc, np.arange(D)] -= 1.0
-    db = dlogits.sum(axis=1)
+    dlogits.reshape(-1)[flat_idx] -= 1.0
+    db = np.add.reduce(dlogits, axis=1)
     dU = dlogits @ hid.T
+    # dh becomes da, the gradient at the pre-activations, in place
     dh = U.T @ dlogits
     if act == ACT_TANH:
-        da = dh * (1.0 - hid * hid)
+        slope = hid * hid
+        np.subtract(1.0, slope, out=slope)
     else:
-        da = dh * hid * (1.0 - hid)
-    suffix = np.cumsum(da[:, ::-1], axis=1)[:, ::-1]
-    dw_cols = np.zeros((D, da.shape[0]))
-    if D > 1:
-        dw_cols[:-1] = suffix[:, 1:].T
-    dc = suffix[:, 0]
+        dh *= hid
+        slope = np.subtract(1.0, hid)
+    dh *= slope
+    # dw_cols[q] is the suffix sum of da over positions q+1 .. D-1, summed
+    # from the end; the last row is zero
+    dw_cols = np.empty((D, dh.shape[0]))
+    dw_cols[-1] = 0.0
+    np.add.accumulate(dh.T[:0:-1], axis=0, out=dw_cols[-2::-1])
+    # a one-word document copies da: adding it to a +0.0 start would turn a
+    # -0.0 into +0.0
+    dc = dw_cols[0] + dh[:, 0] if D > 1 else dh[:, 0].copy()
     return logps, dw_cols, dU, db, dc
 
 
 def window_counts(doc, n_tracked, p1, p2, window):
     D = doc.shape[0]
+    if 0 < D <= window:
+        # one window: a word is present when it occurs at all
+        present = np.zeros(n_tracked, dtype=bool)
+        present[doc[doc >= 0]] = True
+        joints = present[p1]
+        joints &= present[p2]
+        return present.astype(np.int64), joints.astype(np.int64), 1
     singles = np.zeros(n_tracked, dtype=np.int64)
     joints = np.zeros(p1.shape[0], dtype=np.int64)
     if D == 0:
         return singles, joints, 0
-    width = min(window, D)
-    n_windows = D - width + 1
+    n_windows = D - window + 1
     # only the tracked words that occur get a row: row_of maps a tracked id to
     # its row (-1 when absent), rows[j] is the row of the token at pos[j]
     pos = np.flatnonzero(doc >= 0)
@@ -140,7 +192,7 @@ def window_counts(doc, n_tracked, p1, p2, window):
         prefix = np.zeros((hi - lo, D + 1), dtype=np.int64)
         prefix[rows[block] - lo, pos[block] + 1] = 1
         np.cumsum(prefix, axis=1, out=prefix)
-        np.greater(prefix[:, width:width + n_windows], prefix[:, :n_windows],
+        np.greater(prefix[:, window:window + n_windows], prefix[:, :n_windows],
                    out=present[lo:hi])
     singles[ids] = present.sum(axis=1)
     # a pair with an absent word has no joint window

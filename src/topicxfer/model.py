@@ -10,12 +10,14 @@ penalty on W toward source topic rows (global view).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, transfer
+from .corpus import Vocabulary, word_indices
 from .errors import ConfigError, CorpusError, NumericalError
 from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
 
@@ -140,9 +142,7 @@ def init_params(n_topics, vocab_size, seed, init_scale=0.01, activation="sigmoid
 
 
 def _kernel_args(words, params, ctx):
-    words = np.ascontiguousarray(words, dtype=np.int64)
-    if words.size == 0:
-        raise CorpusError("cannot run the model on an empty document")
+    words = word_indices(words, "cannot run the model on an empty document")
     if words.min() < 0 or words.max() >= params.vocab_size:
         raise CorpusError("word index out of range for this model")
     use_lvt = ctx is not None and ctx.lvt_enabled
@@ -162,7 +162,7 @@ def forward(doc, params, ctx=None):
 
 
 def _doc_words(doc):
-    return doc.words if hasattr(doc, "words") else np.asarray(doc, dtype=np.int64)
+    return doc.words if hasattr(doc, "words") else doc
 
 
 def loss(doc, params, ctx=None):
@@ -182,7 +182,7 @@ def _doc_step(params, ctx, words, lvt, use_lvt, act):
     """
     logps, dw_cols, dU, db, dc = kernels.doc_grads(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
-    doc_loss = -logps.sum()
+    doc_loss = -np.add.reduce(logps)
     gvt = None
     if ctx is not None and ctx.gvt_enabled:
         penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, alignments=params.alignments)
@@ -217,7 +217,7 @@ def document_vector(doc, params, ctx=None):
     cols = params.W[:, ordered]
     if use_lvt:
         cols = cols + lvt[:, ordered]
-    return kernels._activation(params.c + cols.sum(axis=1), act)
+    return kernels._activate(params.c + cols.sum(axis=1), act)
 
 
 def ensure_alignments(params, ctx):
@@ -262,11 +262,12 @@ def train(corpus, config, ctx=None, validation=None):
         for di in order:
             words = corpus.documents[di].words
             if config.shuffle_words:
-                words = words[rng.permutation(words.size)]
-            words = np.ascontiguousarray(words, dtype=np.int64)
+                # the draws and the result of words[rng.permutation(words.size)]
+                words = words.copy()
+                rng.shuffle(words)
             doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(
                 params, ctx, words, lvt, lvt_on, act)
-            if not np.isfinite(doc_loss):
+            if not math.isfinite(doc_loss):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch}, document {di}")
             total_loss += doc_loss
@@ -356,8 +357,6 @@ def load_model(bundle_dir):
     meta.txt's H and K, U.mat, b.mat, c.mat, lvt.mat and every A.*.mat must
     agree with W's shape.
     """
-    from .corpus import Vocabulary
-
     meta_path = os.path.join(bundle_dir, "meta.txt")
     meta = read_kv(meta_path)
     vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))

@@ -3,9 +3,9 @@ import collections
 import numpy as np
 import pytest
 
-from topicxfer.corpus import (Vocabulary, build_vocabulary, encode_corpus,
-                              load_corpus_file, read_raw_file, tokenize,
-                              write_corpus_file)
+from topicxfer.corpus import (Document, Vocabulary, build_vocabulary,
+                              encode_corpus, load_corpus_file, read_raw_file,
+                              tokenize, write_corpus_file)
 from topicxfer.errors import CorpusError
 
 
@@ -25,6 +25,25 @@ def test_vocabulary_roundtrip_maps():
         Vocabulary(["a", "a"])
     with pytest.raises(CorpusError):
         Vocabulary([])
+
+
+@pytest.mark.parametrize("words, message", [
+    (np.array([1.5, 2.0]), "must be integers, got dtype float64"),
+    ([1.0, 2.0], "must be integers, got dtype float64"),
+    (np.array([True, False]), "must be integers, got dtype bool"),
+    (np.array([[1, 2], [3, 4]]), r"must be one-dimensional, got shape \(2, 2\)"),
+    (np.int64(3), r"must be one-dimensional, got shape \(\)"),
+    ([], "documents must contain at least one word index"),
+])
+def test_document_rejects_non_integer_or_non_vector_words(words, message):
+    with pytest.raises(CorpusError, match=message):
+        Document(words)
+
+
+def test_document_words_are_contiguous_int64():
+    doc = Document(np.arange(10)[::2])
+    assert doc.words.dtype == np.int64 and doc.words.flags.c_contiguous
+    assert doc.words.tolist() == [0, 2, 4, 6, 8]
 
 
 def test_build_vocabulary_frequency_threshold():

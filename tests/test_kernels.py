@@ -105,6 +105,116 @@ def test_in_place_log_softmax_keeps_inputs_and_bits(rng, act, use_lvt):
     assert np.array_equal(fwd, grad)
 
 
+# The kernels as they stood before their numpy dispatches were cut, kept
+# verbatim as a bit-level oracle: every output of the current kernels must
+# equal theirs exactly, signed zeros included.
+
+def _frozen_activation(pre, act):
+    if act == kernels.ACT_TANH:
+        return np.tanh(pre)
+    return 1.0 / (1.0 + np.exp(-pre))
+
+
+def _frozen_pre_activations(doc, W, c, lvt, use_lvt):
+    """Per-position pre-activations (H, D) plus the final one (H,)."""
+    cols = W[:, doc]
+    if use_lvt:
+        cols = cols + lvt[:, doc]
+    D = doc.shape[0]
+    pre = np.empty((c.shape[0], D))
+    pre[:, 0] = c
+    if D > 1:
+        pre[:, 1:] = c[:, None] + np.cumsum(cols[:, :-1], axis=1)
+    return pre, pre[:, -1] + cols[:, -1]
+
+
+def _frozen_shifted_exp(doc, U, b, hid):
+    logits = U @ hid
+    logits += b[:, None]
+    picked = logits[doc, np.arange(doc.shape[0])]
+    m = logits.max(axis=0)
+    logits -= m
+    np.exp(logits, out=logits)
+    z = logits.sum(axis=0)
+    return picked - (m + np.log(z)), logits, z
+
+
+def _frozen_doc_forward(doc, W, U, b, c, lvt, use_lvt, act):
+    pre, final = _frozen_pre_activations(doc, W, c, lvt, use_lvt)
+    hid = _frozen_activation(pre, act)
+    logps, _, _ = _frozen_shifted_exp(doc, U, b, hid)
+    return logps, hid.T, final
+
+
+def _frozen_doc_grads(doc, W, U, b, c, lvt, use_lvt, act):
+    D = doc.shape[0]
+    pre, _ = _frozen_pre_activations(doc, W, c, lvt, use_lvt)
+    hid = _frozen_activation(pre, act)
+    logps, dlogits, z = _frozen_shifted_exp(doc, U, b, hid)
+    dlogits /= z
+    dlogits[doc, np.arange(D)] -= 1.0
+    db = dlogits.sum(axis=1)
+    dU = dlogits @ hid.T
+    dh = U.T @ dlogits
+    if act == kernels.ACT_TANH:
+        da = dh * (1.0 - hid * hid)
+    else:
+        da = dh * hid * (1.0 - hid)
+    suffix = np.cumsum(da[:, ::-1], axis=1)[:, ::-1]
+    dw_cols = np.zeros((D, da.shape[0]))
+    if D > 1:
+        dw_cols[:-1] = suffix[:, 1:].T
+    dc = suffix[:, 0]
+    return logps, dw_cols, dU, db, dc
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _oracle_sweep(rng):
+    """Random instances: D = 1 and 2 and longer, repeated words, and two
+    signed-zero makers (zero U; sigmoid units saturated to exactly 0)."""
+    for trial in range(160):
+        h, k = int(rng.integers(1, 9)), int(rng.integers(2, 121))
+        d = int(rng.integers(1, 3)) if trial % 3 == 0 else int(rng.integers(3, 60))
+        doc, W, U, b, c, lvt = _random_instance(rng, h, k, d, lvt=trial % 2 == 1)
+        if trial % 4 == 1:
+            # repeated words: draw from at most three distinct ones
+            doc = rng.choice(doc[:3], size=d).astype(np.int64)
+        if trial % 10 == 2:
+            U[:] = 0.0
+        if trial % 10 == 5:
+            c[:] = -800.0
+        yield doc, W, U, b, c, lvt, trial % 2 == 1
+
+
+@pytest.mark.parametrize("act", [kernels.ACT_SIGMOID, kernels.ACT_TANH])
+def test_kernels_are_bit_equal_to_frozen_oracle(rng, act):
+    for doc, W, U, b, c, lvt, use_lvt in _oracle_sweep(rng):
+        args = (doc, W, U, b, c, lvt, use_lvt, act)
+        before = [arr.copy() for arr in args[:6]]
+        with np.errstate(over="ignore"):
+            got = kernels.doc_forward(*args) + kernels.doc_grads(*args)
+            want = _frozen_doc_forward(*args) + _frozen_doc_grads(*args)
+        names = ("logps", "hidden", "final", "logps", "dw_cols", "dU", "db", "dc")
+        for name, g, w in zip(names, got, want):
+            assert _same_bits(g, w), (name, doc.size, W.shape, use_lvt)
+        for arr, saved in zip(args[:6], before):
+            assert _same_bits(arr, saved)
+
+
+def test_frozen_oracle_sweep_makes_signed_zeros(rng):
+    """The sweep reaches a -0.0 gradient, so the signbit checks can fail."""
+    negative_zeros = 0
+    for doc, W, U, b, c, lvt, use_lvt in _oracle_sweep(rng):
+        with np.errstate(over="ignore"):
+            out = _frozen_doc_grads(doc, W, U, b, c, lvt, use_lvt, kernels.ACT_SIGMOID)
+        negative_zeros += sum(int(np.count_nonzero((g == 0) & np.signbit(g))) for g in out)
+    assert negative_zeros > 0
+
+
 def _brute_force_windows(doc, n_tracked, window):
     """Oracle: enumerate every window explicitly (an empty document has none)."""
     d = len(doc)
@@ -185,3 +295,27 @@ def test_window_counts_memory_on_a_long_document(rng):
         has2 = (doc[starts] == p2[k]).any(axis=1)
         assert joints[k] == np.count_nonzero(has1 & has2)
         assert singles[p1[k]] == np.count_nonzero(has1)
+
+
+@pytest.mark.parametrize("window", [1, 4, 110])
+def test_window_counts_single_window_matches_enumeration(rng, window):
+    """Documents no longer than the window: D = window, D = 1, repeated words
+    and untracked tokens, all tokens untracked, and pairs with an absent word."""
+    n_tracked = 8
+    p1, p2 = (p.astype(np.int64) for p in np.triu_indices(n_tracked, k=1))
+    docs = [rng.integers(-1, n_tracked, size=window), [3], [-1], [-1] * window,
+            [2, 2, -1, 2, 5, -1, 5, 2][:window]]
+    absent_pairs = 0
+    for doc in docs:
+        doc = np.asarray(doc, dtype=np.int64)
+        want_singles, want_joints, want_windows = _brute_force_windows(doc, n_tracked, window)
+        singles, joints, n_windows = kernels.window_counts(doc, n_tracked, p1, p2, window)
+        assert n_windows == want_windows == 1
+        assert singles.dtype == np.int64 and joints.dtype == np.int64
+        assert np.array_equal(singles, want_singles)
+        assert np.array_equal(joints, want_joints[p1, p2])
+        # a pair with a word the document lacks counts no window
+        absent = singles[p1] * singles[p2] == 0
+        assert not joints[absent].any()
+        absent_pairs += int(absent.sum())
+    assert absent_pairs > 0

@@ -125,6 +125,20 @@ def test_forward_rejects_out_of_range_indices():
         forward(Document(np.array([5])), p)
 
 
+@pytest.mark.parametrize("words, message", [
+    ([1.7, 2.2], "must be integers, got dtype float64"),
+    (np.array([True, False]), "must be integers, got dtype bool"),
+    (np.array([[1, 2]]), r"must be one-dimensional, got shape \(1, 2\)"),
+    ([], "cannot run the model on an empty document"),
+])
+@pytest.mark.parametrize("fn", [forward, loss, gradients, document_vector])
+def test_model_rejects_non_integer_or_non_vector_words(words, message, fn):
+    # floats and bools were truncated to indices; a 2-D array failed deep in
+    # a kernel with a broadcast error
+    with pytest.raises(CorpusError, match=message):
+        fn(words, zero_params(2, 4))
+
+
 # ----------------------------------------------------------------- gradients
 
 def test_softmax_minus_onehot_at_zero_params():
