@@ -8,6 +8,7 @@ A vocabulary file holds one token per line (index = line number).
 from __future__ import annotations
 
 import collections
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +18,14 @@ from .errors import CorpusError
 SPLITS = ("train", "validation", "test")
 
 
-def _trim(token):
-    """Strip non-alphanumeric characters from both ends of a token."""
-    start, end = 0, len(token)
-    while start < end and not token[start].isalnum():
-        start += 1
-    while end > start and not token[end - 1].isalnum():
-        end -= 1
-    return token[start:end]
+# a whitespace-free run from its first to its last letter or digit: [^\W_] matches
+# exactly what str.isalnum() accepts and \s exactly what str.split() splits on
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 def tokenize(text):
     """Lowercase, split on whitespace, trim non-alphanumeric edges, drop empties."""
-    out = []
-    for raw in text.lower().split():
-        tok = _trim(raw)
-        if tok:
-            out.append(tok)
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 class Vocabulary:
@@ -200,28 +191,20 @@ def encode_corpus(raw_docs, labels, vocabulary, split="train", label_names=None)
     """
     if labels is not None and len(labels) != len(raw_docs):
         raise CorpusError("labels and documents must align one-to-one")
-    if labels is None:
-        names = None
-    elif label_names is not None:
-        names = list(label_names)
-        known = set(names)
+    names = name_index = None
+    if labels is not None:
+        names = list(dict.fromkeys(labels) if label_names is None else label_names)
+        name_index = {n: i for i, n in enumerate(names)}
         for lab in labels:
-            if lab not in known:
+            if lab not in name_index:
                 raise CorpusError(f"label not in label set: {lab!r}")
-    else:
-        names = []
-        seen = set()
-        for lab in labels:
-            if lab not in seen:
-                seen.add(lab)
-                names.append(lab)
-    name_index = {n: i for i, n in enumerate(names)} if names is not None else None
 
     documents = []
     docs_dropped = 0
     tokens_dropped = 0
+    index = vocabulary._index
     for pos, doc in enumerate(raw_docs):
-        idx = [vocabulary.index(t) for t in doc if t in vocabulary]
+        idx = [index[t] for t in doc if t in index]
         tokens_dropped += len(doc) - len(idx)
         if not idx:
             docs_dropped += 1
@@ -243,18 +226,16 @@ def read_raw_file(path, labeled=False):
     raw_docs = []
     labels = [] if labeled else None
     with open(path, encoding="utf-8") as fh:
+        # the newline is whitespace to tokenize and never part of a label
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if labeled:
                 if "\t" not in line:
                     raise CorpusError(
                         f"{path}: line {lineno}: expected 'label<TAB>tokens'"
                     )
-                label, text = line.split("\t", 1)
+                label, line = line.split("\t", 1)
                 labels.append(label)
-            else:
-                text = line
-            raw_docs.append(tokenize(text))
+            raw_docs.append(tokenize(line))
     if not raw_docs:
         raise CorpusError(f"{path}: file contains no documents")
     return raw_docs, labels

@@ -96,7 +96,7 @@ def check_top_n(top_n):
 def check_fractions(fractions):
     """The sorted distinct retrieval fractions, which must lie in (0, 1]."""
     fractions = sorted(set(fractions))
-    if not fractions or fractions[0] <= 0 or fractions[-1] > 1:
+    if not fractions or not all(0 < f <= 1 for f in fractions):
         raise ConfigError("fractions must lie in (0, 1]")
     return fractions
 

@@ -21,8 +21,8 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        retrieval_precision)
 from .fileio import format_float, parse_entry, read_kv, settings
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
-from .transfer import (TransferSpec, build_kb, load_kb, make_transfer_context,
-                       save_kb)
+from .transfer import (TransferSpec, build_kb, check_weights, load_kb,
+                       make_transfer_context, save_kb)
 
 MODES = ("baseline", "lvt", "gvt", "mvt", "zero-shot", "data-augment")
 UNION_MODES = ("zero-shot", "data-augment")
@@ -42,6 +42,9 @@ class SourceConfig:
         if (self.corpus_path is None) == (self.kb_path is None):
             raise ConfigError(
                 f"source.{self.source_id}: give exactly one of a corpus path or a KB path")
+        for key, weight in (("lambda", self.lam_override), ("gamma", self.gamma_override)):
+            if weight is not None:
+                check_weights([weight], f"source.{self.source_id}.{key}: transfer weights")
 
 
 @dataclass
@@ -79,7 +82,8 @@ class ExperimentConfig:
         checks = {"min_freq": lambda v: corpuslib.check_vocabulary_limits(min_freq=v),
                   "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_size=v),
                   "eval_fractions": check_fractions, "coherence_window": check_window,
-                  "coherence_top_n": check_top_n}
+                  "coherence_top_n": check_top_n, "lambda_grid": check_weights,
+                  "gamma_grid": check_weights}
         for key, check in checks.items():
             try:
                 check(getattr(self, key))

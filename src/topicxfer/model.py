@@ -47,14 +47,14 @@ class TrainConfig:
     validation_patience: int = 10
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError("learning_rate must be finite and >= 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.n_topics < 1:
             raise ConfigError("n_topics must be >= 1")
-        if self.init_scale < 0:
-            raise ConfigError("init_scale must be >= 0")
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ConfigError("init_scale must be finite and >= 0")
         if self.validation_patience < 1:
             raise ConfigError("validation_patience must be >= 1")
         _act_code(self.activation)
@@ -141,12 +141,25 @@ def init_params(n_topics, vocab_size, seed, init_scale=0.01, activation="sigmoid
     return _init_from_rng(rng, n_topics, vocab_size, init_scale, activation)
 
 
+def _transfer_args(params, ctx):
+    """The kernels' (lvt, use_lvt) and whether global-view transfer is on; ConfigError
+    when ctx was built for another topic count or vocabulary than params."""
+    if ctx is None:
+        return kernels.EMPTY_LVT, False, False
+    lvt, gvt_on = ctx.lvt_matrix, bool(ctx.gvt_weights)
+    if lvt is not None or gvt_on:
+        built = lvt.shape if lvt is not None else (ctx.n_topics, ctx.target_vocab_size)
+        if built != params.W.shape:
+            raise ConfigError(f"transfer context built for W of shape {built} "
+                              f"does not fit the model's W of shape {params.W.shape}")
+    return (kernels.EMPTY_LVT, False, gvt_on) if lvt is None else (lvt, True, gvt_on)
+
+
 def _kernel_args(words, params, ctx):
     words = word_indices(words, "cannot run the model on an empty document")
     if words.min() < 0 or words.max() >= params.vocab_size:
         raise CorpusError("word index out of range for this model")
-    use_lvt = ctx is not None and ctx.lvt_enabled
-    lvt = ctx.lvt_matrix if use_lvt else kernels.EMPTY_LVT
+    lvt, use_lvt, _ = _transfer_args(params, ctx)
     return words, lvt, use_lvt, _act_code(params.activation)
 
 
@@ -168,7 +181,7 @@ def _doc_words(doc):
 def loss(doc, params, ctx=None):
     """Negative log-likelihood, plus the alignment penalty when global transfer is on."""
     value = -float(forward(doc, params, ctx).sum())
-    if ctx is not None and ctx.gvt_enabled:
+    if ctx is not None and ctx.gvt_weights:
         value += transfer.gvt_penalty(params.W, ctx, alignments=params.alignments)
     return value
 
@@ -184,7 +197,7 @@ def _doc_step(params, ctx, words, lvt, use_lvt, act):
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     doc_loss = -np.add.reduce(logps)
     gvt = None
-    if ctx is not None and ctx.gvt_enabled:
+    if ctx is not None and ctx.gvt_weights:
         penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, alignments=params.alignments)
         doc_loss += penalty
         gvt = (dW, dA)
@@ -222,11 +235,9 @@ def document_vector(doc, params, ctx=None):
 
 def ensure_alignments(params, ctx):
     """Give params an identity alignment for every global-transfer source it lacks."""
-    if ctx is None or not ctx.gvt_enabled:
-        return
-    for source_id in ctx.gvt_source_ids():
-        if source_id not in params.alignments:
-            params.alignments[source_id] = np.eye(params.n_topics)
+    if ctx is not None:
+        for source_id in ctx.gvt_weights:
+            params.alignments.setdefault(source_id, np.eye(params.n_topics))
 
 
 def train(corpus, config, ctx=None, validation=None):
@@ -238,16 +249,12 @@ def train(corpus, config, ctx=None, validation=None):
     """
     if len(corpus) == 0:
         raise CorpusError("cannot train on an empty corpus")
-    if ctx is not None and ctx.target_vocab_size != len(corpus.vocabulary):
-        raise ConfigError("transfer context was projected to a different vocabulary")
     rng = np.random.default_rng(config.seed)
     params = _init_from_rng(rng, config.n_topics, len(corpus.vocabulary),
                             config.init_scale, config.activation)
+    lvt, lvt_on, gvt_on = _transfer_args(params, ctx)
     ensure_alignments(params, ctx)
 
-    lvt_on = ctx is not None and ctx.lvt_enabled
-    gvt_on = ctx is not None and ctx.gvt_enabled
-    lvt = ctx.lvt_matrix if lvt_on else kernels.EMPTY_LVT
     act = _act_code(config.activation)
     lr = config.learning_rate
 

@@ -43,7 +43,7 @@ class SyntheticSpec:
                 raise ConfigError("document length ranges must satisfy 1 <= lo <= hi")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigError("overlap must lie in [0, 1]")
-        if self.mixture_concentration <= 0 or self.word_concentration <= 0:
+        if not (self.mixture_concentration > 0 and self.word_concentration > 0):
             raise ConfigError("concentrations must be positive")
 
 

@@ -11,6 +11,7 @@ source is multi-source transfer.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -76,6 +77,12 @@ class SourceWeight:
     gamma: float = 0.0
 
 
+def check_weights(weights, what="transfer weights"):
+    """Every transfer weight (a lambda or a gamma) must be finite and >= 0."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ConfigError(f"{what} must be finite and >= 0")
+
+
 @dataclass
 class TransferSpec:
     """Per-source transfer weights plus which views are active.
@@ -94,8 +101,7 @@ class TransferSpec:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate source ids in transfer spec")
         for s in self.sources:
-            if s.lam < 0 or s.gamma < 0:
-                raise ConfigError(f"source {s.source_id!r}: lambda and gamma must be >= 0")
+            check_weights((s.lam, s.gamma), f"source {s.source_id!r}: lambda and gamma")
         if self.lvt_enabled and not self.lvt_weights:
             raise ConfigError("local-view transfer enabled but every lambda is zero")
         if self.gvt_enabled and not self.gvt_weights:
@@ -147,8 +153,6 @@ class TransferContext:
             self.lvt_matrix = np.zeros((n_topics, target_vocab_size))
             for source_id, lam in self.lvt_weights.items():
                 self.lvt_matrix += lam * projected[source_id].embeddings
-        self.lvt_enabled = self.lvt_matrix is not None
-        self.gvt_enabled = bool(self.gvt_weights)
 
     @property
     def coverage(self):
@@ -176,9 +180,7 @@ class InferenceContext:
 
     def __init__(self, lvt_matrix):
         self.lvt_matrix = lvt_matrix
-        self.lvt_enabled = lvt_matrix is not None
-        self.gvt_enabled = False
-        self.target_vocab_size = None if lvt_matrix is None else lvt_matrix.shape[1]
+        self.gvt_weights = {}
 
 
 def build_kb(params, vocabulary, source_id):
@@ -251,7 +253,7 @@ def _residuals(W, ctx, alignments):
 
 def gvt_penalty(W, ctx, alignments=None):
     """sum_k gamma^k ||A^k W - Z'^k||_F^2 over the projected topic matrices."""
-    if not ctx.gvt_enabled:
+    if not ctx.gvt_weights:
         raise ConfigError("global-view transfer is not enabled in this context")
     total = 0.0
     for _, gamma, R, _ in _residuals(W, ctx, alignments):
@@ -266,7 +268,7 @@ def gvt_gradients(W, ctx, alignments=None):
     gvt_penalty(W, ctx, alignments).  Every returned gradient is a fresh array,
     so a caller may scale it in place.
     """
-    if not ctx.gvt_enabled:
+    if not ctx.gvt_weights:
         raise ConfigError("global-view transfer is not enabled in this context")
     total = 0.0
     dW = None
@@ -352,7 +354,10 @@ def load_embeddings_text(path, source_id):
                 raise CorpusError(
                     f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
             tokens.append(tok)
-            rows.append([float(v) for v in values])
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     if not tokens:
         raise CorpusError(f"{path}: no embeddings found")
     vocab = Vocabulary(tokens)

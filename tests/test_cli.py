@@ -2,6 +2,7 @@ import pytest
 
 from topicxfer.cli import main
 from topicxfer.evaluate import EvalReport
+from topicxfer.transfer import load_embeddings_text, save_kb
 
 
 @pytest.fixture
@@ -245,9 +246,20 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
     ("mode = baseline\neval_fractions = 0 0.5\n", "eval_fractions"),
     ("mode = baseline\nmin_freq = 0\n", "min_freq"),
     ("mode = baseline\nmax_vocab = 0\n", "max_vocab"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nlambda_grid = nan\n",
+     "lambda_grid"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nlambda_grid = -1\n",
+     "lambda_grid"),
+    ("mode = gvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\ngamma_grid = 0.1 nan\n",
+     "gamma_grid"),
+    ("mode = mvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nsource.s1.gamma = nan\n",
+     "source.s1.gamma"),
+    ("mode = mvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nsource.s1.lambda = inf\n",
+     "source.s1.lambda"),
 ], ids=["unknown-mode", "missing-validation", "empty-grid", "corpus-and-kb",
         "neither-corpus-nor-kb", "coherence-window", "coherence-top-n", "eval-fractions",
-        "min-freq", "max-vocab"])
+        "min-freq", "max-vocab", "lambda-grid-nan", "lambda-grid-negative", "gamma-grid-nan",
+        "source-gamma-nan", "source-lambda-inf"])
 def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"target.train = t.txt\ntarget.test = e.txt\nout = {tmp_path / 'out'}\n"
@@ -312,6 +324,34 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     err = capsys.readouterr().err.strip()
     where = flag if origin == "flag" else f"{cfg}: {key}"
     assert err.startswith(f"error: {where}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, where", [
+    (["train", "--train", "{tmp}/t.txt", "--init-scale", "nan"], "--init-scale:"),
+    (["train", "--train", "{tmp}/t.txt", "--learning-rate", "nan"], "--learning-rate:"),
+    (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "mvt",
+      "--lam", "nan"], "source 's1': lambda and gamma must"),
+    (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "gvt",
+      "--gamma", "inf"], "source 's1': lambda and gamma must"),
+    (["eval", "--model", "{tmp}/model", "--test", "{tmp}/t.txt", "--fractions", "nan"],
+     "--fractions:"),
+    (["synth", "--mixture-concentration", "nan"], "--mixture-concentration:"),
+    (["import-embeddings", "--embeddings", "{tmp}/vecs.txt", "--source-id", "ext"],
+     "{tmp}/vecs.txt: line 1:"),
+], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "fractions-nan",
+        "concentration-nan", "embedding-not-a-number"])
+def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):
+    # transfer-train checks its weights once the corpus and the KB have loaded
+    (tmp_path / "t.txt").write_text("alpha beta\n")
+    (tmp_path / "kb.txt").write_text("alpha 0.25\n")
+    save_kb(load_embeddings_text(tmp_path / "kb.txt", "s1"), tmp_path / "kb")
+    (tmp_path / "vecs.txt").write_text("alpha 0.25 x\n")
+    out = tmp_path / "out"
+    rc = main([arg.format(tmp=tmp_path) for arg in args] + ["--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {where.format(tmp=tmp_path)} ") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_malformed_bundle_meta_is_single_line_error(tmp_path, family, capsys):

@@ -1,4 +1,6 @@
 import collections
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,39 @@ def test_tokenize_lowercases_and_trims_edges():
     assert tokenize("Hello, World!  (x1)") == ["hello", "world", "x1"]
     assert tokenize("--- ...") == []
     assert tokenize("don't STOP") == ["don't", "stop"]
+
+
+def _trim_oracle(token):
+    """The per-character edge trim tokenize() is specified by."""
+    start, end = 0, len(token)
+    while start < end and not token[start].isalnum():
+        start += 1
+    while end > start and not token[end - 1].isalnum():
+        end -= 1
+    return token[start:end]
+
+
+def _tokenize_oracle(text):
+    return [tok for tok in map(_trim_oracle, text.lower().split()) if tok]
+
+
+def test_tokenize_matches_split_and_trim_oracle_on_unicode_fuzz():
+    # ASCII punctuation and "_", an Arabic-Indic digit, a superscript, a Roman
+    # numeral, a capital sharp s, a combining accent, NBSP, an ideographic
+    # space, and a dotted capital I whose lowercase is two code points
+    alphabet = list("aZ9 \t\n!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~") + [
+        "\u0663", "\u00b2", "\u2164", "\u1e9e", "\u0301", "\u00a0", "\u3000", "\u0130"]
+    rng = np.random.default_rng(1909)
+    for _ in range(5000):
+        text = "".join(rng.choice(alphabet, size=rng.integers(0, 25)))
+        assert tokenize(text) == _tokenize_oracle(text), repr(text)
+
+
+def test_token_pattern_classes_match_isalnum_and_split_on_every_code_point():
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\W_]", chars) == list(filter(str.isalnum, chars))
+    # every code point occurs once, so equal pieces mean equal separator sets
+    assert re.split(r"\s+", chars) == chars.split()
 
 
 def test_vocabulary_roundtrip_maps():
@@ -114,6 +149,18 @@ def test_encode_unknown_label_is_error():
     vocab = Vocabulary(["a"])
     with pytest.raises(CorpusError, match="label"):
         encode_corpus([["a"]], ["sports"], vocab, label_names=["tech"])
+
+
+def test_encode_labels_number_by_first_appearance_or_the_given_names():
+    vocab = Vocabulary(["a"])
+    labels = ["tech", "sport", "tech", "misc"]
+    corpus = encode_corpus([["a"]] * 4, labels, vocab)
+    assert corpus.label_names == ["tech", "sport", "misc"]
+    assert [doc.label for doc in corpus.documents] == [0, 1, 0, 2]
+    given = encode_corpus([["a"]] * 4, labels, vocab, label_names=["misc", "sport", "tech"])
+    assert [doc.label for doc in given.documents] == [2, 1, 2, 0]
+    with pytest.raises(CorpusError, match="label not in label set: 'sport'"):
+        encode_corpus([["a"]] * 4, labels, vocab, label_names=["tech"])
 
 
 def test_load_labeled_file(tmp_path):

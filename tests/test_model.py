@@ -7,12 +7,14 @@ from conftest import make_vocab, random_doc
 from topicxfer import kernels
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
+from topicxfer.evaluate import perplexity
 from topicxfer.fileio import write_matrix
 from topicxfer.model import (ModelParams, TrainConfig, document_vector,
                              ensure_alignments, forward, gradients, init_params,
                              load_model, loss, save_model, train)
-from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
-                                gvt_gradients, gvt_penalty, make_transfer_context)
+from topicxfer.transfer import (InferenceContext, KnowledgeBase, SourceWeight,
+                                TransferSpec, gvt_gradients, gvt_penalty,
+                                make_transfer_context)
 
 
 def zero_params(h, k, activation="sigmoid"):
@@ -467,3 +469,34 @@ def test_loss_is_nonnegative(rng):
         doc = random_doc(rng, 5, int(rng.integers(1, 8)))
         assert loss(doc, p, ctx) >= 0.0
         assert loss(doc, p) >= 0.0
+
+
+# ----------------------------------------------------------------- context fit
+
+def _misfit(built, model):
+    return re.escape(f"transfer context built for W of shape {built} "
+                     f"does not fit the model's W of shape {model}")
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (3, 7)], ids=["topics", "vocabulary"])
+@pytest.mark.parametrize("modes", [("lvt",), ("gvt",)], ids=["lvt", "gvt"])
+@pytest.mark.parametrize("call", ["train", "forward", "loss", "gradients", "document_vector"])
+def test_context_for_other_model_shape_is_config_error(rng, call, modes, shape):
+    ctx = make_ctx(rng, 3, 6, modes=modes)
+    h, k = shape
+    doc = random_doc(rng, 6, 5)
+    with pytest.raises(ConfigError, match=_misfit((3, 6), shape)):
+        if call == "train":
+            train(Corpus(make_vocab(k), [doc]), TrainConfig(epochs=1, n_topics=h), ctx)
+        else:
+            params = init_params(h, k, seed=0)
+            ensure_alignments(params, ctx)
+            {"forward": forward, "loss": loss, "gradients": gradients,
+             "document_vector": document_vector}[call](doc, params, ctx)
+
+
+def test_perplexity_with_inference_context_of_other_shape_is_config_error(rng):
+    params = init_params(4, 6, seed=0)
+    corpus = Corpus(make_vocab(6), [random_doc(rng, 6, 5)])
+    with pytest.raises(ConfigError, match=_misfit((3, 6), (4, 6))):
+        perplexity(params, corpus, InferenceContext(rng.normal(size=(3, 6))))

@@ -67,3 +67,20 @@ def test_every_package_name_the_benchmark_uses_resolves(script):
     missing += [f"{name}.{attr}" for name, attr in sorted(uses)
                 if not hasattr(modules[name], attr)]
     assert not missing, f"{script} uses names the package lacks: {missing}"
+
+
+def test_pipeline_small_passes_its_own_output_check(tmp_path, monkeypatch):
+    # the workload's paths are relative, so running it in tmp_path keeps the
+    # checkout clean; its oracle catches a context or bundle change it cannot read
+    monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    workload = importlib.import_module("workloads").PipelineSmall(1)
+    workload.prepare()
+    state = workload.setup()
+    digests = []
+    for _ in range(2):
+        workload.clear()
+        result, _ = workload.op(state)
+        digests.append(workload.digest(result))
+    assert workload.check(result) == []
+    assert digests[0] == digests[1]

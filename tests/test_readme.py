@@ -1,11 +1,13 @@
-"""The README's examples against the code: its experiment config parses and
-every ``topicxfer`` command line it shows is accepted by the CLI parser."""
+"""The README's examples against the code: its experiment config parses,
+every ``topicxfer`` command line it shows is accepted by the CLI parser, and
+its tokenizer example gives the tokens it states."""
 
 import re
 import shlex
 from pathlib import Path
 
 from topicxfer.cli import build_parser
+from topicxfer.corpus import tokenize
 from topicxfer.harness import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +47,9 @@ def test_command_lines_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_tokenizer_example():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    line, tokens = re.search(r"the line `(.+?)` gives the tokens `(.+?)`", text).groups()
+    assert tokenize(line) == tokens.split()

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_vocab
 from topicxfer.corpus import Vocabulary
-from topicxfer.errors import ConfigError
+from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.model import ensure_alignments, init_params
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
                                 build_kb, gvt_gradients, gvt_penalty, load_kb,
@@ -73,6 +73,14 @@ def test_load_kb_rejects_malformed_has_z(tmp_path, rng):
     with pytest.raises(ConfigError) as info:
         load_kb(tmp_path / "kb")
     assert str(info.value).startswith(f"{meta}: has_Z: ")
+
+
+def test_embeddings_text_non_numeric_value_names_file_and_line(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("beta 0.5 1\nalpha 0.25 x\n")
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}: line 2: could not convert string to float: 'x'")):
+        load_embeddings_text(path, "ext")
 
 
 def test_embedding_only_kb_roundtrip(tmp_path):
@@ -391,6 +399,13 @@ def test_transfer_spec_validates_enabled_views():
         TransferSpec([SourceWeight("s", gamma=0.0)], gvt_enabled=True)
     spec = TransferSpec.for_mode("mvt", [("s", 0.0, 0.0)])
     assert not spec.active
+
+
+@pytest.mark.parametrize("lam, gamma", [(float("nan"), 0.0), (0.5, float("nan")),
+                                        (float("inf"), 0.0), (-1.0, 0.5)])
+def test_transfer_spec_rejects_nan_infinite_and_negative_weights(lam, gamma):
+    with pytest.raises(ConfigError, match="source 's': lambda and gamma must be finite and >= 0"):
+        TransferSpec([SourceWeight("s", lam, gamma)], lvt_enabled=True, gvt_enabled=True)
 
 
 def test_initial_alignments_are_identity(rng):
