@@ -18,10 +18,10 @@ from dataclasses import replace
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       all_topics, check_fractions, check_top_n, check_window,
-                       nearest_neighbors)
-from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings
-from .harness import evaluate_model, load_target, parse_config, run_experiment
+                       all_topics, nearest_neighbors)
+from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings, write_lines
+from .harness import (check_settings, evaluate_model, load_target, parse_config,
+                      run_experiment)
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
 from .transfer import (InferenceContext, TransferSpec, build_kb,
@@ -174,8 +174,7 @@ def _parse_kb_flags(kb_args):
             raise TopicxferError(f"--kb expects ID=DIR, got {entry!r}")
         source_id, path = entry.split("=", 1)
         kb = load_kb(path)
-        if kb.source_id != source_id:
-            kb.source_id = source_id
+        kb.source_id = source_id
         kbs.append(kb)
     return kbs
 
@@ -198,13 +197,6 @@ def _cmd_transfer_train(args):
 
 
 def _cmd_eval(args):
-    # range errors name their flag or --config entry, before the bundle loads
-    for key, check in (("coherence_window", check_window), ("coherence_top_n", check_top_n),
-                       ("eval_fractions", check_fractions)):
-        try:
-            check(getattr(args, key))
-        except ConfigError as exc:
-            raise ConfigError(f"{args.options.origin(args, key)}: {exc}") from None
     params, vocabulary, _, lvt = load_model(args.model)
     ctx = InferenceContext(lvt) if lvt is not None else None
     report, _ = evaluate_model(
@@ -221,15 +213,12 @@ def _cmd_eval(args):
 
 def _cmd_topics(args):
     params, vocabulary, _, _ = load_model(args.model)
-    lines = []
-    for j, words in enumerate(all_topics(params, vocabulary, args.n)):
-        lines.append(f"topic {j}: {' '.join(words)}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    lines = [f"topic {j}: {' '.join(words)}"
+             for j, words in enumerate(all_topics(params, vocabulary, args.n))]
+    sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "topics.txt"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_lines(os.path.join(args.out, "topics.txt"), lines)
     return 0
 
 
@@ -241,8 +230,7 @@ def _cmd_nn(args):
 
 
 def _cmd_synth(args):
-    if not args.out:
-        raise TopicxferError("synth requires --out DIR")
+    _require_out(args)
     source, (tr, va, te) = generate_synthetic(_from_args(SyntheticSpec, SYNTH_KEYS, args))
     os.makedirs(args.out, exist_ok=True)
     for name, corpus in (("source.txt", source), ("train.txt", tr),
@@ -340,10 +328,14 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.config and args.options is not None:
-            args.options.load(args.config)
-            # parse again so the file's values become defaults and explicit flags win
-            args = parser.parse_args(argv)
+        if args.options is not None:
+            if args.config:
+                args.options.load(args.config)
+                # parse again so the file's values become defaults and explicit flags win
+                args = parser.parse_args(argv)
+            # a rejected value names its flag or --config entry, before any file is read
+            check_settings({key: getattr(args, key) for key in args.options.casts},
+                           lambda key: args.options.origin(args, key))
         return args.fn(args)
     except (TopicxferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusError
+from .fileio import write_lines
 
 SPLITS = ("train", "validation", "test")
 
@@ -67,9 +68,7 @@ class Vocabulary:
         return self._tokens[index]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self._tokens:
-                fh.write(tok + "\n")
+        write_lines(path, self._tokens)
 
     @classmethod
     def load(cls, path):
@@ -253,10 +252,8 @@ def load_corpus_file(path, vocabulary=None, labeled=False, split="train",
 
 def write_corpus_file(corpus, path):
     """Write a corpus back out in the line format (labels included when present)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            text = " ".join(corpus.decode(doc))
-            if corpus.labeled:
-                fh.write(f"{corpus.label_of(doc)}\t{text}\n")
-            else:
-                fh.write(text + "\n")
+    def line(doc):
+        text = " ".join(corpus.decode(doc))
+        return f"{corpus.label_of(doc)}\t{text}" if corpus.labeled else text
+
+    write_lines(path, map(line, corpus.documents))

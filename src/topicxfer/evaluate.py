@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, CorpusError
-from .fileio import format_float
+from .fileio import format_float, write_lines
 from .model import document_vector, forward
 
 log = logging.getLogger(__name__)
@@ -74,8 +74,7 @@ class EvalReport:
         return cls(ppl, coh, ir, fingerprint)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        write_lines(path, self.to_text().splitlines())
 
     @classmethod
     def load(cls, path):

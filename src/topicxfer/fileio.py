@@ -1,9 +1,13 @@
-"""Shared on-disk formats: matrix files and key=value files (metadata, configs).
+"""Shared on-disk formats: matrix files, key=value files (metadata, configs)
+and bundles of both.  Every file the package writes goes through write_lines.
 
 Matrix format: first line ``rows cols``, then ``rows`` lines of ``cols``
 space-separated decimals printed with 17 significant digits.
 """
 
+import fnmatch
+import itertools
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +20,12 @@ def format_float(x):
     return f"{float(x):.17g}"
 
 
+def write_lines(path, lines):
+    """Write each string of lines and a ``\n`` after it, UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(map("{}\n".format, lines))
+
+
 def write_matrix(path, mat):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim == 1:
@@ -25,11 +35,9 @@ def write_matrix(path, mat):
     rows, cols = mat.shape
     # one C-level format per row gives format_float's text; row by row, so the
     # text of the whole matrix is never held at once
-    row_fmt = " ".join(["%.17g"] * cols) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for r in range(rows):
-            fh.write(row_fmt % tuple(mat[r].tolist()))
+    row_fmt = " ".join(["%.17g"] * cols)
+    write_lines(path, itertools.chain([f"{rows} {cols}"],
+                                      (row_fmt % tuple(row.tolist()) for row in mat)))
 
 
 def read_matrix(path, shape=None):
@@ -62,9 +70,7 @@ def read_matrix(path, shape=None):
 
 def write_kv(path, items):
     """Write ``key=value`` lines in the given order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in items:
-            fh.write(f"{key}={value}\n")
+    write_lines(path, (f"{key}={value}" for key, value in items))
 
 
 def read_kv(path, error=CorpusError):
@@ -97,6 +103,51 @@ def parse_entry(path, key, raw, cast):
         return cast(raw)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: {key}: {exc}") from None
+
+
+def matrix_names(bundle_dir, pattern):
+    """The NAME of each NAME.mat in bundle_dir that matches the fnmatch pattern, sorted."""
+    return sorted(member[:-4] for member in os.listdir(bundle_dir)
+                  if fnmatch.fnmatchcase(member, f"{pattern}.mat"))
+
+
+def write_bundle(out_dir, meta, vocabulary, matrices, optional):
+    """Write meta.txt from the (key, value) items, vocab.txt and NAME.mat per
+    name -> matrix; remove each earlier NAME.mat whose NAME matches an optional
+    pattern and is not written now, so no reader picks it up."""
+    os.makedirs(out_dir, exist_ok=True)
+    for pattern in optional:
+        for name in set(matrix_names(out_dir, pattern)) - matrices.keys():
+            os.remove(os.path.join(out_dir, f"{name}.mat"))
+    write_kv(os.path.join(out_dir, "meta.txt"), meta)
+    vocabulary.save(os.path.join(out_dir, "vocab.txt"))
+    for name, mat in matrices.items():
+        write_matrix(os.path.join(out_dir, f"{name}.mat"), mat)
+
+
+class BundleReader:
+    """A write_bundle directory: its meta.txt entries, vocabulary and matrices."""
+
+    def __init__(self, bundle_dir):
+        from .corpus import Vocabulary  # corpus imports this module
+
+        self.dir = bundle_dir
+        self.meta_path = os.path.join(bundle_dir, "meta.txt")
+        self.meta = read_kv(self.meta_path)
+        self.vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
+
+    def entry(self, key, cast, default=None):
+        """cast(value) of meta.txt's key, else default (None: the key is required);
+        errors name the file and key."""
+        if key in self.meta:
+            return parse_entry(self.meta_path, key, self.meta[key], cast)
+        if default is None:
+            raise ConfigError(f"{self.meta_path}: missing key {key!r}")
+        return default
+
+    def matrix(self, name, shape=None):
+        """NAME.mat; a shape other than a given one is a ConfigError naming the file."""
+        return read_matrix(os.path.join(self.dir, f"{name}.mat"), shape)
 
 
 def parse_bool(value):

@@ -19,7 +19,7 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, check_fractions, check_top_n,
                        check_window, coherence, model_vector_fn, perplexity,
                        retrieval_precision)
-from .fileio import format_float, parse_entry, read_kv, settings
+from .fileio import format_float, parse_entry, read_kv, settings, write_lines
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
 from .transfer import (TransferSpec, build_kb, check_weights, load_kb,
                        make_transfer_context, save_kb)
@@ -28,6 +28,28 @@ MODES = ("baseline", "lvt", "gvt", "mvt", "zero-shot", "data-augment")
 UNION_MODES = ("zero-shot", "data-augment")
 DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0)
 DEFAULT_GAMMA_GRID = (0.1, 0.01, 0.001)
+
+
+# the rules of the stages that use these settings, by config key (experiment
+# files and CLI --config), so they can be checked before any loading or training
+SETTING_CHECKS = {
+    "min_freq": lambda v: corpuslib.check_vocabulary_limits(min_freq=v),
+    "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_size=v),
+    "eval_fractions": check_fractions, "coherence_window": check_window,
+    "coherence_top_n": check_top_n, "lambda_grid": check_weights,
+    "gamma_grid": check_weights, "lam": lambda v: check_weights([v]),
+    "gamma": lambda v: check_weights([v]),
+}
+
+
+def check_settings(values, origin=str):
+    """Check each {key: value} that has a SETTING_CHECKS rule; an error names origin(key)."""
+    for key, check in SETTING_CHECKS.items():
+        if key in values:
+            try:
+                check(values[key])
+            except TopicxferError as exc:
+                raise ConfigError(f"{origin(key)}: {exc}") from None
 
 
 @dataclass
@@ -78,17 +100,7 @@ class ExperimentConfig:
             raise ConfigError(f"gamma_grid: must be non-empty for mode {self.mode!r}")
         if self.mode in ("lvt", "gvt", "mvt") and self.target_validation is None:
             raise ConfigError(f"target.validation: mode {self.mode!r} needs a validation split")
-        # the rules of the stages that use these settings, checked before any training
-        checks = {"min_freq": lambda v: corpuslib.check_vocabulary_limits(min_freq=v),
-                  "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_size=v),
-                  "eval_fractions": check_fractions, "coherence_window": check_window,
-                  "coherence_top_n": check_top_n, "lambda_grid": check_weights,
-                  "gamma_grid": check_weights}
-        for key, check in checks.items():
-            try:
-                check(getattr(self, key))
-            except TopicxferError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+        check_settings(vars(self))
 
 
 # the ExperimentConfig fields whose config key differs from the field name;
@@ -324,22 +336,21 @@ def _union_corpus(parts, labeled, min_freq, max_vocab):
 
 
 def _write_train_log(path, stats):
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in stats:
-            parts = [f"epoch {s.epoch}", f"loss {format_float(s.train_loss)}"]
-            if s.validation_ppl is not None:
-                parts.append(f"val_ppl {format_float(s.validation_ppl)}")
-            for sid in sorted(s.gvt_residuals):
-                parts.append(f"residual.{sid} {format_float(s.gvt_residuals[sid])}")
-            fh.write(" ".join(parts) + "\n")
+    def line(s):
+        parts = [f"epoch {s.epoch}", f"loss {format_float(s.train_loss)}"]
+        if s.validation_ppl is not None:
+            parts.append(f"val_ppl {format_float(s.validation_ppl)}")
+        for sid in sorted(s.gvt_residuals):
+            parts.append(f"residual.{sid} {format_float(s.gvt_residuals[sid])}")
+        return " ".join(parts)
+
+    write_lines(path, map(line, stats))
 
 
 def _write_selection(path, table, best_index):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (lam, gamma, ppl) in enumerate(table):
-            fh.write(f"candidate {i} lam {format_float(lam)} "
-                     f"gamma {format_float(gamma)} val_ppl {format_float(ppl)}\n")
-        fh.write(f"selected {best_index}\n")
+    lines = [f"candidate {i} lam {format_float(lam)} gamma {format_float(gamma)} "
+             f"val_ppl {format_float(ppl)}" for i, (lam, gamma, ppl) in enumerate(table)]
+    write_lines(path, lines + [f"selected {best_index}"])
 
 
 @contextlib.contextmanager
@@ -354,9 +365,7 @@ def _stage(name):
 
 
 def _write_audit(path, audit):
-    with open(path, "w", encoding="utf-8") as fh:
-        for role, name, count in audit:
-            fh.write(f"{role} {name} {count}\n")
+    write_lines(path, (f"{role} {name} {count}" for role, name, count in audit))
 
 
 def run_experiment(config):

@@ -11,15 +11,15 @@ penalty on W toward source topic rows (global view).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, transfer
-from .corpus import Vocabulary, word_indices
+from .corpus import word_indices
 from .errors import ConfigError, CorpusError, NumericalError
-from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
+from .fileio import BundleReader, matrix_names, parse_entry, write_bundle
+from .fileio import read_matrix, write_matrix  # noqa: F401 (perfbench/tracer.py patches them)
 
 ACTIVATIONS = ("sigmoid", "tanh")
 
@@ -330,14 +330,6 @@ def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
     Alignment and lvt.mat files left in out_dir by an earlier save that this
     bundle does not write are removed, so load_model cannot pick them up.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    writes = {f"A.{source_id}.mat" for source_id in params.alignments}
-    if lvt_matrix is not None:
-        writes.add("lvt.mat")
-    for name in os.listdir(out_dir):
-        stale = name == "lvt.mat" or (name.startswith("A.") and name.endswith(".mat"))
-        if stale and name not in writes:
-            os.remove(os.path.join(out_dir, name))
     meta = [
         ("H", params.n_topics),
         ("K", params.vocab_size),
@@ -346,16 +338,11 @@ def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
         ("trained_epochs", params.trained_epochs),
         ("has_lvt", int(lvt_matrix is not None)),
     ]
-    write_kv(os.path.join(out_dir, "meta.txt"), meta)
-    vocabulary.save(os.path.join(out_dir, "vocab.txt"))
-    write_matrix(os.path.join(out_dir, "W.mat"), params.W)
-    write_matrix(os.path.join(out_dir, "U.mat"), params.U)
-    write_matrix(os.path.join(out_dir, "b.mat"), params.b)
-    write_matrix(os.path.join(out_dir, "c.mat"), params.c)
-    for source_id, A in params.alignments.items():
-        write_matrix(os.path.join(out_dir, f"A.{source_id}.mat"), A)
+    matrices = {"W": params.W, "U": params.U, "b": params.b, "c": params.c}
+    matrices.update((f"A.{source_id}", A) for source_id, A in params.alignments.items())
     if lvt_matrix is not None:
-        write_matrix(os.path.join(out_dir, "lvt.mat"), lvt_matrix)
+        matrices["lvt"] = lvt_matrix
+    write_bundle(out_dir, meta, vocabulary, matrices, optional=("A.*", "lvt"))
 
 
 def load_model(bundle_dir):
@@ -364,33 +351,25 @@ def load_model(bundle_dir):
     meta.txt's H and K, U.mat, b.mat, c.mat, lvt.mat and every A.*.mat must
     agree with W's shape.
     """
-    meta_path = os.path.join(bundle_dir, "meta.txt")
-    meta = read_kv(meta_path)
-    vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
-    W = read_matrix(os.path.join(bundle_dir, "W.mat"))
+    bundle = BundleReader(bundle_dir)
+    W = bundle.matrix("W")
     h, k = W.shape
     for key, size in (("H", h), ("K", k)):
-        if key in meta and parse_entry(meta_path, key, meta[key], int) != size:
-            raise ConfigError(
-                f"{meta_path}: {key}={meta[key]} does not match W.mat shape {W.shape}")
-    U = read_matrix(os.path.join(bundle_dir, "U.mat"), (k, h))
-    b = read_matrix(os.path.join(bundle_dir, "b.mat"), (1, k))[0]
-    c = read_matrix(os.path.join(bundle_dir, "c.mat"), (1, h))[0]
-    alignments = {}
-    for name in sorted(os.listdir(bundle_dir)):
-        if name.startswith("A.") and name.endswith(".mat"):
-            path = os.path.join(bundle_dir, name)
-            alignments[name[2:-4]] = read_matrix(path, (h, h))
-    activation = meta.get("activation", "sigmoid")
-    parse_entry(meta_path, "activation", activation, _act_code)
-    params = ModelParams(W, U, b, c, activation=activation,
-                         alignments=alignments,
-                         trained_epochs=parse_entry(meta_path, "trained_epochs",
-                                                    meta.get("trained_epochs", "0"), int))
+        if bundle.entry(key, int, size) != size:
+            raise ConfigError(f"{bundle.meta_path}: {key}={bundle.meta[key]} "
+                              f"does not match W.mat shape {W.shape}")
+    U = bundle.matrix("U", (k, h))
+    b = bundle.matrix("b", (1, k))[0]
+    c = bundle.matrix("c", (1, h))[0]
+    alignments = {name[2:]: bundle.matrix(name, (h, h))
+                  for name in matrix_names(bundle_dir, "A.*")}
+    activation = bundle.meta.get("activation", "sigmoid")
+    parse_entry(bundle.meta_path, "activation", activation, _act_code)
+    params = ModelParams(W, U, b, c, activation=activation, alignments=alignments,
+                         trained_epochs=bundle.entry("trained_epochs", int, 0))
     lvt = None
-    if parse_entry(meta_path, "has_lvt", meta.get("has_lvt", "0"), int):
-        lvt = read_matrix(os.path.join(bundle_dir, "lvt.mat"), W.shape)
-    if len(vocabulary) != params.vocab_size:
+    if bundle.entry("has_lvt", int, 0):
+        lvt = bundle.matrix("lvt", W.shape)
+    if len(bundle.vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")
-    return params, vocabulary, meta, lvt
-
+    return params, bundle.vocabulary, bundle.meta, lvt

@@ -12,14 +12,14 @@ source is multi-source transfer.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ConfigError, CorpusError
-from .fileio import parse_entry, read_kv, read_matrix, write_kv, write_matrix
+from .fileio import BundleReader, write_bundle
+from .fileio import read_matrix, write_matrix  # noqa: F401 (perfbench/tracer.py patches them)
 
 
 @dataclass
@@ -300,36 +300,28 @@ def gvt_residual_norms(W, ctx, alignments=None):
 # ---------------------------------------------------------------------------
 
 def save_kb(kb, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    write_kv(os.path.join(out_dir, "meta.txt"), [
+    meta = [
         ("source_id", kb.source_id),
         ("E_dim", kb.embedding_dim),
         ("H_s", kb.n_topics if kb.topics is not None else 0),
         ("has_Z", int(kb.topics is not None)),
-    ])
-    kb.vocabulary.save(os.path.join(out_dir, "vocab.txt"))
-    write_matrix(os.path.join(out_dir, "E.mat"), kb.embeddings)
+    ]
+    matrices = {"E": kb.embeddings}
     if kb.topics is not None:
-        write_matrix(os.path.join(out_dir, "Z.mat"), kb.topics)
+        matrices["Z"] = kb.topics
+    write_bundle(out_dir, meta, kb.vocabulary, matrices, optional=("Z",))
 
 
 def load_kb(bundle_dir):
     """Load a knowledge base; E.mat and Z.mat must have meta.txt's E_dim and H_s
     rows and one column per vocab.txt word."""
-    meta_path = os.path.join(bundle_dir, "meta.txt")
-    meta = read_kv(meta_path)
-
-    def entry(key, cast):
-        if key not in meta:
-            raise ConfigError(f"{meta_path}: missing key {key!r}")
-        return parse_entry(meta_path, key, meta[key], cast)
-
-    vocab = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
-    E = read_matrix(os.path.join(bundle_dir, "E.mat"), (entry("E_dim", int), len(vocab)))
+    bundle = BundleReader(bundle_dir)
+    k = len(bundle.vocabulary)
+    E = bundle.matrix("E", (bundle.entry("E_dim", int), k))
     Z = None
-    if parse_entry(meta_path, "has_Z", meta.get("has_Z", "0"), int):
-        Z = read_matrix(os.path.join(bundle_dir, "Z.mat"), (entry("H_s", int), len(vocab)))
-    return KnowledgeBase(entry("source_id", str), vocab, E, Z)
+    if bundle.entry("has_Z", int, 0):
+        Z = bundle.matrix("Z", (bundle.entry("H_s", int), k))
+    return KnowledgeBase(bundle.entry("source_id", str), bundle.vocabulary, E, Z)
 
 
 def load_embeddings_text(path, source_id):

@@ -330,18 +330,22 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["train", "--train", "{tmp}/t.txt", "--init-scale", "nan"], "--init-scale:"),
     (["train", "--train", "{tmp}/t.txt", "--learning-rate", "nan"], "--learning-rate:"),
     (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "mvt",
-      "--lam", "nan"], "source 's1': lambda and gamma must"),
+      "--lam", "nan"], "--lam:"),
     (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "gvt",
-      "--gamma", "inf"], "source 's1': lambda and gamma must"),
+      "--gamma", "inf"], "--gamma:"),
+    (["train", "--train", "{tmp}/missing.txt", "--min-freq", "0"], "--min-freq:"),
+    (["train", "--train", "{tmp}/missing.txt", "--max-vocab", "0"], "--max-vocab:"),
     (["eval", "--model", "{tmp}/model", "--test", "{tmp}/t.txt", "--fractions", "nan"],
      "--fractions:"),
     (["synth", "--mixture-concentration", "nan"], "--mixture-concentration:"),
     (["import-embeddings", "--embeddings", "{tmp}/vecs.txt", "--source-id", "ext"],
      "{tmp}/vecs.txt: line 1:"),
-], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "fractions-nan",
-        "concentration-nan", "embedding-not-a-number"])
+], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "min-freq-zero",
+        "max-vocab-zero", "fractions-nan", "concentration-nan", "embedding-not-a-number"])
 def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):
-    # transfer-train checks its weights once the corpus and the KB have loaded
+    # setting checks run before any file is read and name the flag; the
+    # --min-freq/--max-vocab cases name a missing --train file, so only a
+    # check made before loading can give their error
     (tmp_path / "t.txt").write_text("alpha beta\n")
     (tmp_path / "kb.txt").write_text("alpha 0.25\n")
     save_kb(load_embeddings_text(tmp_path / "kb.txt", "s1"), tmp_path / "kb")

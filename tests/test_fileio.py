@@ -1,3 +1,6 @@
+import ast
+import glob
+import os
 import re
 
 import numpy as np
@@ -63,3 +66,43 @@ def test_read_kv_rejects_repeated_key(tmp_path, error):
     path.write_text("epochs = 5\n# comment\nlr = 0.1\n epochs=7\n")
     with pytest.raises(error, match=re.escape(f"{path}: line 4: duplicate key 'epochs'")):
         read_kv(path, error=error)
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "topicxfer")
+_MODE_CHARS = set("rwaxbt+")
+
+
+def _writes(call):
+    """Whether the call may open a file for writing: an open() with a writing
+    mode literal, or with a mode argument that is not a literal (os.open's
+    flags too), or a write_text/write_bytes call."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode_args = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if any(not isinstance(arg, ast.Constant) for arg in mode_args):
+        return True
+    # Path.open takes the mode first
+    literals = [arg.value for arg in call.args[:2] + mode_args
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    return any(set(mode) <= _MODE_CHARS and set(mode) & set("wax+") for mode in literals)
+
+
+def test_write_lines_is_the_only_file_writer():
+    # every artifact is written in one place, so its encoding, line ends and
+    # write discipline are one decision
+    sites = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        allowed = set()
+        if os.path.basename(path) == "fileio.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "write_lines":
+                    allowed = {id(n) for n in ast.walk(node)}
+        sites += [(os.path.basename(path), node.lineno, id(node) in allowed)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call) and _writes(node)]
+    assert [allowed for _, _, allowed in sites] == [True], sites

@@ -13,8 +13,8 @@ from topicxfer.model import (ModelParams, TrainConfig, document_vector,
                              ensure_alignments, forward, gradients, init_params,
                              load_model, loss, save_model, train)
 from topicxfer.transfer import (InferenceContext, KnowledgeBase, SourceWeight,
-                                TransferSpec, gvt_gradients, gvt_penalty,
-                                make_transfer_context)
+                                TransferSpec, gvt_gradients, gvt_penalty, load_kb,
+                                make_transfer_context, save_kb)
 
 
 def zero_params(h, k, activation="sigmoid"):
@@ -405,6 +405,13 @@ def test_resave_removes_stale_alignment_and_lvt_files(tmp_path, rng):
     assert lvt is None
     assert sorted(p.name for p in bundle.iterdir()) == [
         "U.mat", "W.mat", "b.mat", "c.mat", "meta.txt", "vocab.txt"]
+    # a KB's one optional member is Z.mat: an embedding-only re-save removes it
+    kb_dir = tmp_path / "kb"
+    save_kb(KnowledgeBase("s1", vocab, rng.normal(size=(2, 5)), rng.normal(size=(3, 5))),
+            kb_dir)
+    save_kb(KnowledgeBase("s1", vocab, rng.normal(size=(2, 5))), kb_dir)
+    assert load_kb(kb_dir).topics is None
+    assert sorted(p.name for p in kb_dir.iterdir()) == ["E.mat", "meta.txt", "vocab.txt"]
 
 
 def _replace_meta(bundle, old, new):
