@@ -20,13 +20,11 @@ from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        all_topics, nearest_neighbors)
 from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings, write_lines
-from .harness import (check_settings, evaluate_model, load_target, parse_config,
-                      run_experiment)
+from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluate_model,
+                      load_target, parse_config, run_experiment, transfer_context)
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
-from .transfer import (InferenceContext, TransferSpec, build_kb,
-                       load_embeddings_text, load_kb, make_transfer_context,
-                       save_kb)
+from .transfer import InferenceContext, build_kb, load_embeddings_text, load_kb, save_kb
 
 
 # the SyntheticSpec fields whose synth flag and config key differ from the field name
@@ -170,12 +168,10 @@ def _cmd_import_embeddings(args):
 def _parse_kb_flags(kb_args):
     kbs = []
     for entry in kb_args or []:
-        if "=" not in entry:
-            raise TopicxferError(f"--kb expects ID=DIR, got {entry!r}")
-        source_id, path = entry.split("=", 1)
-        kb = load_kb(path)
-        kb.source_id = source_id
-        kbs.append(kb)
+        source_id, sep, path = entry.partition("=")
+        if not (sep and source_id):
+            raise TopicxferError(f"--kb expects ID=DIR with a non-empty ID, got {entry!r}")
+        kbs.append(load_kb(path, source_id))
     return kbs
 
 
@@ -185,12 +181,10 @@ def _cmd_transfer_train(args):
     kbs = _parse_kb_flags(args.kb)
     if not kbs:
         raise TopicxferError("transfer-train needs at least one --kb ID=DIR")
-    spec = TransferSpec.for_mode(
-        args.mode, [(kb.source_id, args.lam, args.gamma) for kb in kbs],
-        gvt_mask_oov=args.gvt_mask_oov)
-    ctx = None
-    if spec.active:
-        ctx = make_transfer_context(kbs, train_corpus.vocabulary, spec, config.n_topics)
+    ctx = transfer_context(kbs, train_corpus.vocabulary, args.mode,
+                           [(kb.source_id, args.lam, args.gamma) for kb in kbs],
+                           config.n_topics, args.gvt_mask_oov)
+    if ctx is not None:
         for sid, cov in sorted(ctx.coverage.items()):
             print(f"source {sid}: vocabulary coverage {cov:.3f}")
     return _train_and_save(args, config, train_corpus, validation, ctx)
@@ -286,7 +280,7 @@ def build_parser():
                          "train with knowledge transfer from saved KBs")
     _add_train_flags(p, opt)
     p.add_argument("--kb", action="append", metavar="ID=DIR")
-    p.add_argument("--mode", choices=("lvt", "gvt", "mvt"), default="mvt")
+    p.add_argument("--mode", choices=tuple(MODE_VIEWS), default=DEFAULT_TRANSFER_MODE)
     opt.add("lam", float, 0.5)
     opt.add("gamma", float, 0.01)
     opt.add("gvt_mask_oov", parse_bool, False)

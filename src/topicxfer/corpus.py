@@ -152,22 +152,22 @@ class Corpus:
         return [self.vocabulary.token(i) for i in doc.words]
 
 
-def check_vocabulary_limits(min_freq=1, max_size=None):
+def check_vocabulary_limits(min_freq=1, max_vocab=None):
     if min_freq < 1:
         raise CorpusError("min_freq must be >= 1")
-    if max_size is not None and max_size < 1:
-        raise CorpusError("max_size must be >= 1")
+    if max_vocab is not None and max_vocab < 1:
+        raise CorpusError("max_vocab must be >= 1")
 
 
-def build_vocabulary(raw_docs, min_freq=1, max_size=None):
+def build_vocabulary(raw_docs, min_freq=1, max_vocab=None):
     """Build a vocabulary from tokenized documents.
 
     Keeps tokens with corpus frequency >= min_freq, ordered by descending
-    frequency then ascending token, truncated to the max_size most frequent.
+    frequency then ascending token, truncated to the max_vocab most frequent.
     """
     if not raw_docs:
         raise CorpusError("cannot build a vocabulary from zero documents")
-    check_vocabulary_limits(min_freq, max_size)
+    check_vocabulary_limits(min_freq, max_vocab)
     counts = collections.Counter()
     for doc in raw_docs:
         counts.update(doc)
@@ -175,8 +175,8 @@ def build_vocabulary(raw_docs, min_freq=1, max_size=None):
     if not kept:
         raise CorpusError("empty vocabulary: every token fell below min_freq")
     kept.sort(key=lambda item: (-item[1], item[0]))
-    if max_size is not None:
-        kept = kept[:max_size]
+    if max_vocab is not None:
+        kept = kept[:max_vocab]
     return Vocabulary([tok for tok, _ in kept])
 
 
@@ -241,11 +241,11 @@ def read_raw_file(path, labeled=False):
 
 
 def load_corpus_file(path, vocabulary=None, labeled=False, split="train",
-                     min_freq=1, max_size=None, label_names=None):
+                     min_freq=1, max_vocab=None, label_names=None):
     """Load a corpus file, building a vocabulary unless one is supplied."""
     raw_docs, labels = read_raw_file(path, labeled=labeled)
     if vocabulary is None:
-        vocabulary = build_vocabulary(raw_docs, min_freq=min_freq, max_size=max_size)
+        vocabulary = build_vocabulary(raw_docs, min_freq=min_freq, max_vocab=max_vocab)
     return encode_corpus(raw_docs, labels, vocabulary, split=split,
                          label_names=label_names)
 

@@ -49,37 +49,40 @@ class EvalReport:
             lines.append(f"ir {format_float(frac)} {format_float(prec)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text):
-        ppl = coh = None
-        fingerprint = ""
-        ir = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("ir "):
-                _, frac, prec = line.split()
-                ir.append((float(frac), float(prec)))
-            elif "=" in line:
-                key, value = line.split("=", 1)
-                if key == "ppl":
-                    ppl = float(value)
-                elif key == "coh":
-                    coh = float(value)
-                elif key == "fingerprint":
-                    fingerprint = value
-        if ppl is None or coh is None:
-            raise CorpusError("malformed evaluation report")
-        return cls(ppl, coh, ir, fingerprint)
-
     def save(self, path):
         write_lines(path, self.to_text().splitlines())
 
     @classmethod
     def load(cls, path):
+        """Read a report that save wrote; a malformed, unknown or repeated line,
+        or a missing ppl or coh, is a CorpusError naming the file."""
+        values = {}
+        ir = []
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split()
+                key, sep, value = line.partition("=")
+                try:
+                    if parts[0] == "ir" and len(parts) == 3:
+                        ir.append((float(parts[1]), float(parts[2])))
+                    elif not sep or key not in ("ppl", "coh", "fingerprint"):
+                        raise ValueError(f"unexpected line {line!r}")
+                    elif key in values:
+                        raise ValueError(f"repeated key {key!r}")
+                    else:
+                        values[key] = value if key == "fingerprint" else float(value)
+                except ValueError as exc:
+                    raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        missing = [key for key in ("ppl", "coh") if key not in values]
+        if missing:
+            raise CorpusError(f"{path}: missing {' and '.join(missing)}")
+        try:
+            return cls(values["ppl"], values["coh"], ir, values.get("fingerprint", ""))
+        except ValueError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 def check_window(window):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import os
 from dataclasses import astuple, dataclass, field, replace
 
@@ -21,11 +22,14 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        retrieval_precision)
 from .fileio import format_float, parse_entry, read_kv, settings, write_lines
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
-from .transfer import (TransferSpec, build_kb, check_weights, load_kb,
+from .transfer import (SourceWeight, TransferSpec, build_kb, check_weights, load_kb,
                        make_transfer_context, save_kb)
 
-MODES = ("baseline", "lvt", "gvt", "mvt", "zero-shot", "data-augment")
+# the transfer views ("lvt" local, "gvt" global) each transfer mode trains with
+MODE_VIEWS = {"lvt": ("lvt",), "gvt": ("gvt",), "mvt": ("lvt", "gvt")}
+DEFAULT_TRANSFER_MODE = "mvt"
 UNION_MODES = ("zero-shot", "data-augment")
+MODES = ("baseline", *MODE_VIEWS, *UNION_MODES)
 DEFAULT_LAMBDA_GRID = (0.1, 0.5, 1.0)
 DEFAULT_GAMMA_GRID = (0.1, 0.01, 0.001)
 
@@ -34,7 +38,7 @@ DEFAULT_GAMMA_GRID = (0.1, 0.01, 0.001)
 # files and CLI --config), so they can be checked before any loading or training
 SETTING_CHECKS = {
     "min_freq": lambda v: corpuslib.check_vocabulary_limits(min_freq=v),
-    "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_size=v),
+    "max_vocab": lambda v: corpuslib.check_vocabulary_limits(max_vocab=v),
     "eval_fractions": check_fractions, "coherence_window": check_window,
     "coherence_top_n": check_top_n, "lambda_grid": check_weights,
     "gamma_grid": check_weights, "lam": lambda v: check_weights([v]),
@@ -94,12 +98,16 @@ class ExperimentConfig:
             raise ConfigError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
         if self.mode != "baseline" and not self.sources:
             raise ConfigError(f"mode: {self.mode!r} requires at least one source")
-        if self.mode in ("lvt", "mvt") and not self.lambda_grid:
-            raise ConfigError(f"lambda_grid: must be non-empty for mode {self.mode!r}")
-        if self.mode in ("gvt", "mvt") and not self.gamma_grid:
-            raise ConfigError(f"gamma_grid: must be non-empty for mode {self.mode!r}")
-        if self.mode in ("lvt", "gvt", "mvt") and self.target_validation is None:
+        views = MODE_VIEWS.get(self.mode, ())
+        for view, grid in (("lvt", "lambda_grid"), ("gvt", "gamma_grid")):
+            if view in views and not getattr(self, grid):
+                raise ConfigError(f"{grid}: must be non-empty for mode {self.mode!r}")
+        if views and self.target_validation is None:
             raise ConfigError(f"target.validation: mode {self.mode!r} needs a validation split")
+        for src in self.sources:
+            if self.mode in UNION_MODES and src.kb_path is not None:
+                raise ConfigError(f"source.{src.source_id}: mode {self.mode!r} needs a "
+                                  "source corpus, not a prebuilt KB")
         check_settings(vars(self))
 
 
@@ -121,6 +129,8 @@ def parse_config(path):
             if len(parts) != 3:
                 raise ConfigError(f"{path}: malformed source key {key!r}")
             _, sid, attr = parts
+            if not sid:
+                raise ConfigError(f"{path}: {key}: the source id is empty")
             sources.setdefault(sid, {})[attr] = value
         else:
             plain[key] = value
@@ -165,27 +175,28 @@ def parse_config(path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _weights_for(config, lam, gamma):
-    """Per-source (id, lambda, gamma), applying fixed per-source overrides."""
-    out = []
-    for src in config.sources:
-        out.append((
-            src.source_id,
-            src.lam_override if src.lam_override is not None else lam,
-            src.gamma_override if src.gamma_override is not None else gamma,
-        ))
-    return out
-
-
 def candidate_grid(config):
-    """The shared (lambda, gamma) candidate list for the config's mode."""
-    if config.mode == "lvt":
-        return [(lam, 0.0) for lam in config.lambda_grid]
-    if config.mode == "gvt":
-        return [(0.0, g) for g in config.gamma_grid]
-    if config.mode == "mvt":
-        return [(lam, g) for lam in config.lambda_grid for g in config.gamma_grid]
-    return []
+    """The shared (lambda, gamma) candidate list for the config's mode; a view
+    the mode does not use has weight 0, and a mode without views has no list."""
+    views = MODE_VIEWS.get(config.mode)
+    if views is None:
+        return []
+    return list(itertools.product(config.lambda_grid if "lvt" in views else [0.0],
+                                  config.gamma_grid if "gvt" in views else [0.0]))
+
+
+def transfer_context(kbs, vocabulary, mode, weights, n_topics, gvt_mask_oov=False):
+    """The context that trains with mode's views at per-source (id, lambda,
+    gamma) weights; a view whose weights are all zero is off, and with every
+    view off there is no context (None)."""
+    sources = [SourceWeight(*w) for w in weights]
+    views = MODE_VIEWS[mode]
+    spec = TransferSpec(sources, lvt_enabled="lvt" in views and any(s.lam > 0 for s in sources),
+                        gvt_enabled="gvt" in views and any(s.gamma > 0 for s in sources),
+                        gvt_mask_oov=gvt_mask_oov)
+    if not (spec.lvt_enabled or spec.gvt_enabled):
+        return None
+    return make_transfer_context(kbs, vocabulary, spec, n_topics)
 
 
 def grid_search(train_corpus, validation, kbs, config, candidates):
@@ -202,12 +213,12 @@ def grid_search(train_corpus, validation, kbs, config, candidates):
     table = []
     best = None
     for index, (lam, gamma) in enumerate(candidates):
-        spec = TransferSpec.for_mode(config.mode, _weights_for(config, lam, gamma),
-                                     gvt_mask_oov=config.gvt_mask_oov)
-        ctx = None
-        if spec.active:
-            ctx = make_transfer_context(kbs, train_corpus.vocabulary, spec,
-                                        config.train.n_topics)
+        # a source's fixed lambda or gamma wins over the candidate's
+        weights = [(s.source_id, lam if s.lam_override is None else s.lam_override,
+                    gamma if s.gamma_override is None else s.gamma_override)
+                   for s in config.sources]
+        ctx = transfer_context(kbs, train_corpus.vocabulary, config.mode, weights,
+                               config.train.n_topics, config.gvt_mask_oov)
         params, stats = train(train_corpus, config.train, ctx, validation)
         val_ppl = min(s.validation_ppl for s in stats)
         table.append((lam, gamma, val_ppl))
@@ -252,7 +263,7 @@ def load_target(train_path, validation_path, labeled, min_freq=1, max_vocab=None
     """The target training corpus, which builds the vocabulary, and the
     validation split on that vocabulary (None without a validation path)."""
     train_corpus = corpuslib.load_corpus_file(train_path, labeled=labeled,
-                                              min_freq=min_freq, max_size=max_vocab)
+                                              min_freq=min_freq, max_vocab=max_vocab)
     validation = None
     if validation_path is not None:
         validation = corpuslib.load_corpus_file(
@@ -295,12 +306,12 @@ def _prepare_kbs(config, out_dir, audit):
     for src in config.sources:
         with _stage(f"preparing knowledge base {src.source_id!r}"):
             if src.kb_path is not None:
-                kbs.append(load_kb(src.kb_path))
+                kbs.append(load_kb(src.kb_path, src.source_id))
                 audit.append(("kb", f"source:{src.source_id}", 0))
                 continue
             source_corpus = corpuslib.load_corpus_file(
                 src.corpus_path, labeled=config.labeled,
-                min_freq=config.min_freq, max_size=config.max_vocab)
+                min_freq=config.min_freq, max_vocab=config.max_vocab)
             audit.append(("kb", f"source:{src.source_id}", len(source_corpus)))
             params, _ = train(source_corpus, config.train)
             kb = build_kb(params, source_corpus.vocabulary, src.source_id)
@@ -381,10 +392,6 @@ def run_experiment(config):
         parts = []
         with _stage("loading training corpora"):
             for src in config.sources:
-                if src.corpus_path is None:
-                    raise ConfigError(
-                        f"mode {config.mode!r} needs corpus-backed sources "
-                        f"({src.source_id!r} is a prebuilt KB)")
                 raw_docs, labels = corpuslib.read_raw_file(src.corpus_path,
                                                            labeled=config.labeled)
                 parts.append((f"source:{src.source_id}", raw_docs, labels))

@@ -107,30 +107,17 @@ class TransferSpec:
         if self.gvt_enabled and not self.gvt_weights:
             raise ConfigError("global-view transfer enabled but every gamma is zero")
 
-    @staticmethod
-    def _positive(sources, weight):
+    def _positive(self, weight):
         """{source_id: weight} of the sources whose weight ("lam" or "gamma") is positive."""
-        return {s.source_id: getattr(s, weight) for s in sources if getattr(s, weight) > 0}
+        return {s.source_id: getattr(s, weight) for s in self.sources if getattr(s, weight) > 0}
 
     @property
     def lvt_weights(self):
-        return self._positive(self.sources, "lam") if self.lvt_enabled else {}
+        return self._positive("lam") if self.lvt_enabled else {}
 
     @property
     def gvt_weights(self):
-        return self._positive(self.sources, "gamma") if self.gvt_enabled else {}
-
-    @classmethod
-    def for_mode(cls, mode, weights, gvt_mask_oov=False):
-        """Build a spec for a mode name, disabling views whose weights are all zero."""
-        sources = [SourceWeight(sid, lam, gamma) for sid, lam, gamma in weights]
-        lvt = mode in ("lvt", "mvt") and bool(cls._positive(sources, "lam"))
-        gvt = mode in ("gvt", "mvt") and bool(cls._positive(sources, "gamma"))
-        return cls(sources, lvt_enabled=lvt, gvt_enabled=gvt, gvt_mask_oov=gvt_mask_oov)
-
-    @property
-    def active(self):
-        return self.lvt_enabled or self.gvt_enabled
+        return self._positive("gamma") if self.gvt_enabled else {}
 
 
 class TransferContext:
@@ -312,16 +299,18 @@ def save_kb(kb, out_dir):
     write_bundle(out_dir, meta, kb.vocabulary, matrices, optional=("Z",))
 
 
-def load_kb(bundle_dir):
-    """Load a knowledge base; E.mat and Z.mat must have meta.txt's E_dim and H_s
-    rows and one column per vocab.txt word."""
+def load_kb(bundle_dir, source_id=None):
+    """Load a knowledge base under source_id (None: the id it was saved with);
+    E.mat and Z.mat must have meta.txt's E_dim and H_s rows and one column per
+    vocab.txt word."""
     bundle = BundleReader(bundle_dir)
     k = len(bundle.vocabulary)
     E = bundle.matrix("E", (bundle.entry("E_dim", int), k))
     Z = None
     if bundle.entry("has_Z", int, 0):
         Z = bundle.matrix("Z", (bundle.entry("H_s", int), k))
-    return KnowledgeBase(bundle.entry("source_id", str), bundle.vocabulary, E, Z)
+    saved_id = bundle.entry("source_id", str)
+    return KnowledgeBase(saved_id if source_id is None else source_id, bundle.vocabulary, E, Z)
 
 
 def load_embeddings_text(path, source_id):

@@ -86,6 +86,37 @@ def test_build_kb_and_transfer_train(tmp_path, family, capsys):
     assert (out / "lvt.mat").exists()
 
 
+def test_experiment_and_transfer_train_write_the_same_bundle(tmp_path, family):
+    # one path from mode and sources to a context: a KB saved as 'news' and
+    # named 'ext' by the config or by --kb trains the same model at one weight
+    src_model = train_small(tmp_path, family, "src_model")
+    kb = tmp_path / "kb"
+    assert main(["build-kb", "--model", str(src_model), "--source-id", "news",
+                 "--out", str(kb)]) == 0
+    common = {"epochs": "3", "learning_rate": "0.05", "topics": "3", "seed": "1"}
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "expout"
+    cfg.write_text(
+        f"mode = mvt\ntarget.train = {family / 'train.txt'}\n"
+        f"target.validation = {family / 'validation.txt'}\n"
+        f"target.test = {family / 'test.txt'}\nlabeled = true\nout = {out}\n"
+        f"lambda_grid = 0.5\ngamma_grid = 0.05\nsource.ext.kb = {kb}\n"
+        + "".join(f"{key} = {value}\n" for key, value in common.items()))
+    assert main(["experiment", "--config", str(cfg)]) == 0
+    model = tmp_path / "xfer"
+    flags = [arg for key, value in common.items()
+             for arg in (f"--{key.replace('_', '-')}", value)]
+    assert main(["transfer-train", "--train", str(family / "train.txt"),
+                 "--validation", str(family / "validation.txt"), "--labeled",
+                 "--kb", f"ext={kb}", "--mode", "mvt", "--lam", "0.5", "--gamma", "0.05",
+                 *flags, "--out", str(model)]) == 0
+    names = sorted(p.name for p in model.iterdir())
+    assert "A.ext.mat" in names and "lvt.mat" in names
+    assert sorted(p.name for p in (out / "model").iterdir()) == names
+    for name in names:
+        assert (out / "model" / name).read_bytes() == (model / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("args", [
     ["eval", "--window", "1"],
     ["eval", "--top-n", "1"],
@@ -246,6 +277,8 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
     ("mode = baseline\neval_fractions = 0 0.5\n", "eval_fractions"),
     ("mode = baseline\nmin_freq = 0\n", "min_freq"),
     ("mode = baseline\nmax_vocab = 0\n", "max_vocab"),
+    ("mode = baseline\nsource..corpus = s.txt\n", "source..corpus"),
+    ("mode = zero-shot\nsource.s1.kb = kb\n", "source.s1"),
     ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nlambda_grid = nan\n",
      "lambda_grid"),
     ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nlambda_grid = -1\n",
@@ -258,8 +291,8 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
      "source.s1.lambda"),
 ], ids=["unknown-mode", "missing-validation", "empty-grid", "corpus-and-kb",
         "neither-corpus-nor-kb", "coherence-window", "coherence-top-n", "eval-fractions",
-        "min-freq", "max-vocab", "lambda-grid-nan", "lambda-grid-negative", "gamma-grid-nan",
-        "source-gamma-nan", "source-lambda-inf"])
+        "min-freq", "max-vocab", "empty-source-id", "union-mode-kb", "lambda-grid-nan",
+        "lambda-grid-negative", "gamma-grid-nan", "source-gamma-nan", "source-lambda-inf"])
 def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"target.train = t.txt\ntarget.test = e.txt\nout = {tmp_path / 'out'}\n"
@@ -268,6 +301,9 @@ def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {cfg}: {key}: ") and len(err.splitlines()) == 1
+    if key == "max_vocab":
+        assert err == f"error: {cfg}: max_vocab: max_vocab must be >= 1"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["experiment", "train"])
@@ -333,6 +369,7 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
       "--lam", "nan"], "--lam:"),
     (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "gvt",
       "--gamma", "inf"], "--gamma:"),
+    (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "={tmp}/kb"], "--kb"),
     (["train", "--train", "{tmp}/missing.txt", "--min-freq", "0"], "--min-freq:"),
     (["train", "--train", "{tmp}/missing.txt", "--max-vocab", "0"], "--max-vocab:"),
     (["eval", "--model", "{tmp}/model", "--test", "{tmp}/t.txt", "--fractions", "nan"],
@@ -340,8 +377,9 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["synth", "--mixture-concentration", "nan"], "--mixture-concentration:"),
     (["import-embeddings", "--embeddings", "{tmp}/vecs.txt", "--source-id", "ext"],
      "{tmp}/vecs.txt: line 1:"),
-], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "min-freq-zero",
-        "max-vocab-zero", "fractions-nan", "concentration-nan", "embedding-not-a-number"])
+], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "kb-empty-id",
+        "min-freq-zero", "max-vocab-zero", "fractions-nan", "concentration-nan",
+        "embedding-not-a-number"])
 def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):
     # setting checks run before any file is read and name the flag; the
     # --min-freq/--max-vocab cases name a missing --train file, so only a
@@ -355,6 +393,8 @@ def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):
     assert rc == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {where.format(tmp=tmp_path)} ") and len(err.splitlines()) == 1
+    if where == "--max-vocab:":
+        assert err == "error: --max-vocab: max_vocab must be >= 1"
     assert not out.exists()
 
 

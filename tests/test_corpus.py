@@ -82,19 +82,19 @@ def test_document_words_are_contiguous_int64():
 
 
 def test_build_vocabulary_frequency_threshold():
-    vocab = build_vocabulary([["a", "b", "a"], ["a", "c"]], min_freq=2, max_size=10)
+    vocab = build_vocabulary([["a", "b", "a"], ["a", "c"]], min_freq=2, max_vocab=10)
     assert vocab.tokens == ["a"]
 
 
 def test_build_vocabulary_singleton():
-    assert build_vocabulary([["x"]], min_freq=1, max_size=1).tokens == ["x"]
+    assert build_vocabulary([["x"]], min_freq=1, max_vocab=1).tokens == ["x"]
 
 
 def test_build_vocabulary_matches_frequency_count_oracle(rng):
     words = [f"t{i}" for i in range(12)]
     docs = [[words[rng.integers(0, 12)] for _ in range(rng.integers(3, 15))]
             for _ in range(20)]
-    vocab = build_vocabulary(docs, min_freq=2, max_size=5)
+    vocab = build_vocabulary(docs, min_freq=2, max_vocab=5)
     # independent oracle: brute-force counting with the same ordering rule
     counts = collections.Counter(tok for doc in docs for tok in doc)
     expect = sorted((t for t, n in counts.items() if n >= 2),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -418,6 +419,23 @@ def test_eval_report_roundtrip(tmp_path):
     assert again.coh == report.coh
     assert again.ir == report.ir
     assert again.fingerprint == "abc123"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("ppl=x\ncoh=0.5\n", "line 1: could not convert string to float: 'x'"),
+    ("ppl=2.0\ncoh=0.5\nir 0.1\n", "line 3: unexpected line 'ir 0.1'"),
+    ("ppl=2.0\ncoh=0.5\nwords=9\n", "line 3: unexpected line 'words=9'"),
+    ("ppl=2.0\ncoh=0.5\nppl=3.0\n", "line 3: repeated key 'ppl'"),
+    ("coh=0.5\nfingerprint=abc\n", "missing ppl"),
+    ("fingerprint=abc\n", "missing ppl and coh"),
+    ("ppl=2.0\ncoh=0.5\nir 0.5 0.1\nir 0.2 0.1\n", "retrieval fractions must be"),
+], ids=["bad-float", "short-ir", "unknown-key", "repeated-key", "missing-ppl",
+        "missing-both", "unordered-ir"])
+def test_eval_report_load_names_file_and_line(tmp_path, text, where):
+    path = tmp_path / "report.txt"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: {where}")):
+        EvalReport.load(path)
 
 
 def test_eval_report_validates_fractions():

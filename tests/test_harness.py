@@ -6,9 +6,9 @@ import pytest
 from topicxfer.corpus import Vocabulary, load_corpus_file, write_corpus_file
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import EvalReport, perplexity
-from topicxfer.harness import (ExperimentConfig, SourceConfig, _fingerprint,
-                               candidate_grid, grid_search, parse_config,
-                               run_experiment)
+from topicxfer.harness import (MODE_VIEWS, MODES, ExperimentConfig, SourceConfig,
+                               _fingerprint, candidate_grid, grid_search, parse_config,
+                               run_experiment, transfer_context)
 from topicxfer.model import TrainConfig, init_params, train
 from topicxfer.synthetic import SyntheticSpec, generate_synthetic
 from topicxfer.transfer import KnowledgeBase, build_kb, save_kb
@@ -243,11 +243,10 @@ def test_union_part_counts_match_saved_vocabulary(tmp_path):
 
 def test_zero_shot_rejects_kb_sources(tmp_path):
     paths = small_family(tmp_path)
-    cfg = ExperimentConfig(mode="zero-shot", out_dir=str(tmp_path / "zs"),
-                           sources=[SourceConfig("s1", kb_path="anywhere")],
-                           **base_kwargs(paths))
     with pytest.raises(ConfigError, match="corpus"):
-        run_experiment(cfg)
+        ExperimentConfig(mode="zero-shot", out_dir=str(tmp_path / "zs"),
+                         sources=[SourceConfig("s1", kb_path="anywhere")],
+                         **base_kwargs(paths))
 
 
 def test_union_vocabulary_overflow_is_error(tmp_path):
@@ -275,18 +274,53 @@ def test_experiment_with_prebuilt_kb(tmp_path):
     assert (tmp_path / "out" / "model" / "lvt.mat").exists()
 
 
+def test_prebuilt_kb_is_used_under_its_config_source_id(tmp_path):
+    # the bundle was saved as 'news'; the config names it 'ext', as --kb ext=DIR would
+    paths = small_family(tmp_path)
+    source_corpus = load_corpus_file(paths["source"], labeled=True)
+    params, _ = train(source_corpus, TrainConfig(learning_rate=0.05, epochs=2,
+                                                 seed=1, n_topics=3))
+    save_kb(build_kb(params, source_corpus.vocabulary, "news"), tmp_path / "kb")
+    run_experiment(ExperimentConfig(
+        mode="mvt", out_dir=str(tmp_path / "out"),
+        sources=[SourceConfig("ext", kb_path=str(tmp_path / "kb"))],
+        lambda_grid=[0.5], gamma_grid=[0.1], **base_kwargs(paths)))
+    assert (tmp_path / "out" / "model" / "A.ext.mat").exists()
+    assert "residual.ext" in (tmp_path / "out" / "train_log.txt").read_text()
+
+
 # ----------------------------------------------------------------- grid search
 
 def test_grid_candidates_by_mode(tmp_path):
     paths = small_family(tmp_path)
     kwargs = base_kwargs(paths)
     src = [SourceConfig("s1", corpus_path=paths["source"])]
-    lvt = ExperimentConfig(mode="lvt", out_dir="o", sources=src,
-                           lambda_grid=[0.1, 1.0], **kwargs)
-    assert candidate_grid(lvt) == [(0.1, 0.0), (1.0, 0.0)]
-    mvt = ExperimentConfig(mode="mvt", out_dir="o", sources=src,
-                           lambda_grid=[0.1, 0.5], gamma_grid=[0.01], **kwargs)
-    assert candidate_grid(mvt) == [(0.1, 0.01), (0.5, 0.01)]
+    expected = {"baseline": [], "lvt": [(0.1, 0.0), (0.5, 0.0)],
+                "gvt": [(0.0, 0.01), (0.0, 0.02)],
+                "mvt": [(0.1, 0.01), (0.1, 0.02), (0.5, 0.01), (0.5, 0.02)],
+                "zero-shot": [], "data-augment": []}
+    assert tuple(expected) == MODES
+    for mode, grid in expected.items():
+        cfg = ExperimentConfig(mode=mode, out_dir="o", sources=src, lambda_grid=[0.1, 0.5],
+                               gamma_grid=[0.01, 0.02], **kwargs)
+        assert candidate_grid(cfg) == grid, mode
+
+
+def test_transfer_context_turns_off_views_without_weight():
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary(["a", "b", "c"])
+    kb = KnowledgeBase("s", vocab, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))
+    for mode in MODE_VIEWS:
+        assert transfer_context([kb], vocab, mode, [("s", 0.0, 0.0)], 2) is None
+    # a view the mode does not use stays off whatever its weight
+    assert transfer_context([kb], vocab, "lvt", [("s", 0.0, 0.5)], 2) is None
+    ctx = transfer_context([kb], vocab, "gvt", [("s", 0.5, 0.25)], 2, gvt_mask_oov=True)
+    assert (ctx.lvt_weights, ctx.gvt_weights, ctx.lvt_matrix) == ({}, {"s": 0.25}, None)
+    assert ctx.spec.gvt_mask_oov
+    ctx = transfer_context([kb], vocab, "mvt", [("s", 0.5, 0.0)], 2)
+    assert (ctx.lvt_weights, ctx.gvt_weights) == ({"s": 0.5}, {})
+    with pytest.raises(ConfigError, match="lambda and gamma must be finite"):
+        transfer_context([kb], vocab, "mvt", [("s", float("nan"), 0.0)], 2)
 
 
 def test_grid_search_single_candidate(tmp_path):

@@ -1,6 +1,7 @@
-"""The README's examples against the code: its experiment config parses,
-every ``topicxfer`` command line it shows is accepted by the CLI parser, and
-its tokenizer example gives the tokens it states."""
+"""The README's examples against the code: its experiment config parses, its
+mode list is the harness's, every ``topicxfer`` command line it shows is
+accepted by the CLI parser, and its tokenizer example gives the tokens it
+states."""
 
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 from topicxfer.cli import build_parser
 from topicxfer.corpus import tokenize
-from topicxfer.harness import parse_config
+from topicxfer.harness import MODE_VIEWS, MODES, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,6 +37,16 @@ def test_example_experiment_config_parses(tmp_path):
     assert config.mode == "mvt"
     assert config.train.n_topics == 3
     assert [s.source_id for s in config.sources] == ["news"]
+
+
+def test_modes_match_the_code():
+    (listed,) = re.findall(r"^# mode: (.*)$", README.read_text(encoding="utf-8"),
+                           flags=re.MULTILINE)
+    assert tuple(listed.split(" | ")) == MODES
+    (transfer_train,) = [action.choices["transfer-train"] for action in build_parser()._actions
+                         if action.dest == "command"]
+    (mode,) = [action for action in transfer_train._actions if action.dest == "mode"]
+    assert tuple(mode.choices) == tuple(MODE_VIEWS)
 
 
 def test_command_lines_parse():

@@ -397,8 +397,6 @@ def test_transfer_spec_validates_enabled_views():
         TransferSpec([SourceWeight("s", lam=0.0)], lvt_enabled=True)
     with pytest.raises(ConfigError):
         TransferSpec([SourceWeight("s", gamma=0.0)], gvt_enabled=True)
-    spec = TransferSpec.for_mode("mvt", [("s", 0.0, 0.0)])
-    assert not spec.active
 
 
 @pytest.mark.parametrize("lam, gamma", [(float("nan"), 0.0), (0.5, float("nan")),
