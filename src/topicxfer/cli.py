@@ -24,7 +24,7 @@ from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluat
                       load_target, parse_config, run_experiment, transfer_context)
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
-from .transfer import InferenceContext, build_kb, load_embeddings_text, load_kb, save_kb
+from .transfer import TransferContext, build_kb, load_embeddings_text, load_kb, save_kb
 
 
 # the SyntheticSpec fields whose synth flag and config key differ from the field name
@@ -177,10 +177,11 @@ def _parse_kb_flags(kb_args):
 
 def _cmd_transfer_train(args):
     config = _from_args(TrainConfig, TRAIN_KEYS, args)
-    train_corpus, validation = _load_target(args)
+    _require_out(args)
     kbs = _parse_kb_flags(args.kb)
     if not kbs:
         raise TopicxferError("transfer-train needs at least one --kb ID=DIR")
+    train_corpus, validation = _load_target(args)
     ctx = transfer_context(kbs, train_corpus.vocabulary, args.mode,
                            [(kb.source_id, args.lam, args.gamma) for kb in kbs],
                            config.n_topics, args.gvt_mask_oov)
@@ -192,7 +193,7 @@ def _cmd_transfer_train(args):
 
 def _cmd_eval(args):
     params, vocabulary, _, lvt = load_model(args.model)
-    ctx = InferenceContext(lvt) if lvt is not None else None
+    ctx = TransferContext(lvt) if lvt is not None else None
     report, _ = evaluate_model(
         params, vocabulary, ctx, args.test, args.reference or args.train or args.test,
         args.train, args.labeled, args.eval_fractions, args.coherence_window,

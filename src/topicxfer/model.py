@@ -147,11 +147,9 @@ def _transfer_args(params, ctx):
     if ctx is None:
         return kernels.EMPTY_LVT, False, False
     lvt, gvt_on = ctx.lvt_matrix, bool(ctx.gvt_weights)
-    if lvt is not None or gvt_on:
-        built = lvt.shape if lvt is not None else (ctx.n_topics, ctx.target_vocab_size)
-        if built != params.W.shape:
-            raise ConfigError(f"transfer context built for W of shape {built} "
-                              f"does not fit the model's W of shape {params.W.shape}")
+    if (lvt is not None or gvt_on) and ctx.shape != params.W.shape:
+        raise ConfigError(f"transfer context built for W of shape {ctx.shape} "
+                          f"does not fit the model's W of shape {params.W.shape}")
     return (kernels.EMPTY_LVT, False, gvt_on) if lvt is None else (lvt, True, gvt_on)
 
 

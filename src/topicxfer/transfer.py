@@ -121,53 +121,33 @@ class TransferSpec:
 
 
 class TransferContext:
-    """Projected knowledge bases plus weights, ready to plug into training.
+    """What the model reads of the transfer views.
 
-    Only the sources of the spec's per-view weights feed the local-view matrix
-    and the alignment penalty.  Alignment matrices are owned by the model
-    parameters; model.ensure_alignments starts each one at the identity.
+    lvt_matrix is the lambda-weighted sum of projected embeddings, or None; gvt
+    maps each alignment-penalty source to (gamma, Z', oov), where oov marks the
+    target words it lacks under gvt_mask_oov (else None); shape is the (H, K)
+    of the W it fits.  TransferContext(lvt) is a saved model's inference
+    context.  model.ensure_alignments gives the model an identity A per source.
     """
 
-    def __init__(self, spec, projected, n_topics, target_vocab_size):
-        self.spec = spec
-        self.projected = projected          # dict source_id -> ProjectedKB
-        self.n_topics = n_topics
-        self.target_vocab_size = target_vocab_size
-        self.lvt_weights = spec.lvt_weights
-        self.gvt_weights = spec.gvt_weights
-        self.lvt_matrix = None
-        if self.lvt_weights:
-            self.lvt_matrix = np.zeros((n_topics, target_vocab_size))
-            for source_id, lam in self.lvt_weights.items():
-                self.lvt_matrix += lam * projected[source_id].embeddings
+    def __init__(self, lvt_matrix, shape=None, lvt_weights=None, gvt=None, projected=None):
+        self.lvt_matrix = lvt_matrix
+        self.shape = lvt_matrix.shape if shape is None else shape
+        self.lvt_weights = lvt_weights or {}    # for the report fingerprint
+        self.gvt = gvt or {}
+        self.gvt_weights = {sid: gamma for sid, (gamma, _, _) in self.gvt.items()}
+        self.projected = projected or {}        # dict source_id -> ProjectedKB
 
     @property
     def coverage(self):
         return {sid: pkb.coverage for sid, pkb in self.projected.items()}
 
     def gvt_source_ids(self):
-        """Sources that take part in the alignment penalty."""
+        """Sources that take part in the alignment penalty (perfbench/tracer.py counts by them)."""
         return list(self.gvt_weights)
 
-    def gvt_terms(self, alignments=None):
-        """Yield (source_id, gamma, Z', covered, A) for each penalty source (A = I if absent)."""
-        alignments = alignments or {}
-        for source_id, gamma in self.gvt_weights.items():
-            pkb = self.projected[source_id]
-            A = alignments[source_id] if source_id in alignments else np.eye(self.n_topics)
-            yield source_id, gamma, pkb.topics, pkb.covered, A
 
-
-class InferenceContext:
-    """Inference-time stand-in rebuilt from a model bundle's saved transfer matrix.
-
-    Carries only the combined local-view embedding matrix; the alignment
-    penalty plays no role outside training.
-    """
-
-    def __init__(self, lvt_matrix):
-        self.lvt_matrix = lvt_matrix
-        self.gvt_weights = {}
+InferenceContext = TransferContext  # perfbench/workloads.py builds contexts by this name
 
 
 def build_kb(params, vocabulary, source_id):
@@ -226,15 +206,27 @@ def make_transfer_context(kbs, target_vocab, spec, n_topics):
                     f"source {sw.source_id!r}: topic count {kb.n_topics} must equal "
                     f"the model's topic count {n_topics} for global-view transfer")
         projected[sw.source_id] = project_kb(kb, target_vocab)
-    return TransferContext(spec, projected, n_topics, len(target_vocab))
+    shape = (n_topics, len(target_vocab))
+    lvt = None
+    if spec.lvt_weights:
+        lvt = np.zeros(shape)
+        for source_id, lam in spec.lvt_weights.items():
+            lvt += lam * projected[source_id].embeddings
+    gvt = {sid: (gamma, projected[sid].topics,
+                 ~projected[sid].covered if spec.gvt_mask_oov else None)
+           for sid, gamma in spec.gvt_weights.items()}
+    return TransferContext(lvt, shape, spec.lvt_weights, gvt, projected)
 
 
 def _residuals(W, ctx, alignments):
-    for source_id, gamma, Z, covered, A in ctx.gvt_terms(alignments):
+    """(source_id, gamma, A W - Z', A) per penalty source; A = I when alignments lacks it."""
+    alignments = alignments or {}
+    for source_id, (gamma, Z, oov) in ctx.gvt.items():
+        A = alignments[source_id] if source_id in alignments else np.eye(ctx.shape[0])
         R = A @ W
         R -= Z
-        if ctx.spec.gvt_mask_oov:
-            R[:, ~covered] = 0.0
+        if oov is not None:
+            R[:, oov] = 0.0
         yield source_id, gamma, R, A
 
 

@@ -183,6 +183,19 @@ def test_experiment_subcommand_roundtrip(tmp_path, family, capsys):
     assert (out / "selection.txt").exists()
 
 
+@pytest.mark.parametrize("kb, where", [("={tmp}/kb", "--kb expects ID=DIR"),
+                                       ("s1={tmp}/absent", "{tmp}/absent")],
+                         ids=["empty-id", "missing-dir"])
+def test_transfer_train_loads_kbs_before_the_target(tmp_path, capsys, kb, where):
+    # --train names a missing file too, so only a KB loaded first gives the KB error
+    rc = main(["transfer-train", "--train", str(tmp_path / "missing.txt"),
+               "--kb", kb.format(tmp=tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert where.format(tmp=tmp_path) in err and "missing.txt" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_unknown_subcommand_is_nonzero(capsys):
     assert main(["frobnicate"]) != 0
 

@@ -70,16 +70,19 @@ def test_read_kv_rejects_repeated_key(tmp_path, error):
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "topicxfer")
 _MODE_CHARS = set("rwaxbt+")
+_NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}
 
 
 def _writes(call):
     """Whether the call may open a file for writing: an open() with a writing
     mode literal, or with a mode argument that is not a literal (os.open's
-    flags too), or a write_text/write_bytes call."""
+    flags too), a write_text/write_bytes/tofile call, or an np.save-like call."""
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ("write_text", "write_bytes"):
+    if name in ("write_text", "write_bytes", "tofile"):
         return True
+    if name in _NUMPY_WRITERS and isinstance(func, ast.Attribute):
+        return isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
     if name != "open":
         return False
     mode_args = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
@@ -106,3 +109,12 @@ def test_write_lines_is_the_only_file_writer():
         sites += [(os.path.basename(path), node.lineno, id(node) in allowed)
                   for node in ast.walk(tree) if isinstance(node, ast.Call) and _writes(node)]
     assert [allowed for _, _, allowed in sites] == [True], sites
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("np.save(p, a)", True), ("numpy.savez(p, a=a)", True), ("np.savez_compressed(p, a=a)", True),
+    ("np.savetxt(p, a)", True), ("a.tofile(p)", True), ("p.write_bytes(b)", True),
+    ("open(p, 'w')", True), ("open(p, mode)", True), ("open(p)", False),
+    ("report.save(p)", False), ("np.load(p)", False)])
+def test_writer_finder_sees_numpy_writers(source, writes):
+    assert _writes(ast.parse(source).body[0].value) is writes

@@ -316,7 +316,7 @@ def test_transfer_context_turns_off_views_without_weight():
     assert transfer_context([kb], vocab, "lvt", [("s", 0.0, 0.5)], 2) is None
     ctx = transfer_context([kb], vocab, "gvt", [("s", 0.5, 0.25)], 2, gvt_mask_oov=True)
     assert (ctx.lvt_weights, ctx.gvt_weights, ctx.lvt_matrix) == ({}, {"s": 0.25}, None)
-    assert ctx.spec.gvt_mask_oov
+    np.testing.assert_array_equal(ctx.gvt["s"][2], ~ctx.projected["s"].covered)
     ctx = transfer_context([kb], vocab, "mvt", [("s", 0.5, 0.0)], 2)
     assert (ctx.lvt_weights, ctx.gvt_weights) == ({"s": 0.5}, {})
     with pytest.raises(ConfigError, match="lambda and gamma must be finite"):

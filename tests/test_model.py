@@ -12,7 +12,7 @@ from topicxfer.fileio import write_matrix
 from topicxfer.model import (ModelParams, TrainConfig, document_vector,
                              ensure_alignments, forward, gradients, init_params,
                              load_model, loss, save_model, train)
-from topicxfer.transfer import (InferenceContext, KnowledgeBase, SourceWeight,
+from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferContext,
                                 TransferSpec, gvt_gradients, gvt_penalty, load_kb,
                                 make_transfer_context, save_kb)
 
@@ -243,6 +243,31 @@ def test_document_vector_permutation_invariant(rng):
     for _ in range(5):
         perm = rng.permutation(words.size)
         np.testing.assert_array_equal(base, document_vector(Document(words[perm]), p))
+
+
+def _int64(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("mask", [False, True], ids=["unmasked", "masked"])
+def test_saved_lvt_context_gives_the_mvt_context_bits(rng, mask):
+    # a bundle keeps only the lvt matrix; inference reads nothing else of the context
+    h, k = 4, 9
+    vocab = make_vocab(k)
+    kb = KnowledgeBase("s0", Vocabulary([f"w{i}" for i in range(0, 2 * k, 2)]),
+                       rng.normal(size=(h, k)), rng.normal(size=(h, k)))
+    spec = TransferSpec([SourceWeight("s0", lam=0.6, gamma=0.2)], lvt_enabled=True,
+                        gvt_enabled=True, gvt_mask_oov=mask)
+    ctx = make_transfer_context([kb], vocab, spec, h)
+    assert not ctx.projected["s0"].covered.all()
+    saved = TransferContext(ctx.lvt_matrix.copy())
+    params = init_params(h, k, seed=5, init_scale=0.5)
+    ensure_alignments(params, ctx)
+    corpus = Corpus(vocab, [random_doc(rng, k, d) for d in (1, 6, 13)])
+    assert _int64(perplexity(params, corpus, saved)) == _int64(perplexity(params, corpus, ctx))
+    for doc in corpus:
+        np.testing.assert_array_equal(_int64(document_vector(doc, params, saved)),
+                                      _int64(document_vector(doc, params, ctx)))
 
 
 # ----------------------------------------------------------------- training
@@ -506,4 +531,4 @@ def test_perplexity_with_inference_context_of_other_shape_is_config_error(rng):
     params = init_params(4, 6, seed=0)
     corpus = Corpus(make_vocab(6), [random_doc(rng, 6, 5)])
     with pytest.raises(ConfigError, match=_misfit((3, 6), (4, 6))):
-        perplexity(params, corpus, InferenceContext(rng.normal(size=(3, 6))))
+        perplexity(params, corpus, TransferContext(rng.normal(size=(3, 6))))

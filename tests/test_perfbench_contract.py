@@ -11,7 +11,11 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+
+from topicxfer import evaluate, model, transfer
+from topicxfer.corpus import Corpus, Document, Vocabulary
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
@@ -84,3 +88,34 @@ def test_pipeline_small_passes_its_own_output_check(tmp_path, monkeypatch):
         digests.append(workload.digest(result))
     assert workload.check(result) == []
     assert digests[0] == digests[1]
+
+
+def test_traced_contexts_give_the_gvt_flop_counts(tracer):
+    # _gvt_counts reads the context it is handed; tier-1 runs no traced workload
+    rng = np.random.default_rng(0)
+    h, k = 3, 5
+    vocab = Vocabulary([f"w{i}" for i in range(k)])
+    kbs = [transfer.KnowledgeBase(sid, vocab, rng.normal(size=(h, k)), rng.normal(size=(h, k)))
+           for sid in ("s0", "s1")]
+    spec = transfer.TransferSpec([transfer.SourceWeight("s0", lam=0.5, gamma=0.2),
+                                  transfer.SourceWeight("s1", gamma=0.3)],
+                                 lvt_enabled=True, gvt_enabled=True)
+    ctx = transfer.make_transfer_context(kbs, vocab, spec, h)
+    params = model.init_params(h, k, seed=0)
+    model.ensure_alignments(params, ctx)
+    corpus = Corpus(vocab, [Document(np.array([0, 2, 4, 2]))])
+    with tracer.Tracer() as traced:
+        for gvt in (transfer.gvt_gradients, transfer.gvt_penalty, transfer.gvt_residual_norms):
+            gvt(params.W, ctx, params.alignments)
+        for context in (ctx, transfer.InferenceContext(ctx.lvt_matrix)):
+            evaluate.perplexity(params, corpus, context)
+            model.document_vector(corpus.documents[0], params, context)
+    flop = 2 * h * h * k * len(spec.gvt_weights)  # one H x H by H x K GEMM per source
+    counts = [(s["name"], s["counts"].get("flop")) for s in traced.spans
+              if s["name"].startswith("transfer.")]
+    assert counts == [("transfer.gvt_gradients", 3 * flop), ("transfer.gvt_penalty", flop),
+                      ("transfer.gvt_residual_norms", flop)]
+    assert [s["name"] for s in traced.spans if s["parent"] is None] == [
+        "transfer.gvt_gradients", "transfer.gvt_penalty", "transfer.gvt_residual_norms",
+        "evaluate.perplexity", "model.document_vector",
+        "evaluate.perplexity", "model.document_vector"]

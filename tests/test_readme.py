@@ -1,7 +1,7 @@
 """The README's examples against the code: its experiment config parses, its
 mode list is the harness's, every ``topicxfer`` command line it shows is
-accepted by the CLI parser, and its tokenizer example gives the tokens it
-states."""
+accepted by the CLI parser, its tokenizer example gives the tokens it states,
+and its library example runs."""
 
 import re
 import shlex
@@ -64,3 +64,13 @@ def test_tokenizer_example():
     text = " ".join(README.read_text(encoding="utf-8").split())
     line, tokens = re.search(r"the line `(.+?)` gives the tokens `(.+?)`", text).groups()
     assert tokenize(line) == tokens.split()
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = [b for b in code_blocks() if b.startswith("from topicxfer import")]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    trained_ppl, _, saved_ppl = capsys.readouterr().out.splitlines()
+    # the context rebuilt from the saved bundle gives the trained context's number
+    assert saved_ppl == trained_ppl
+    assert (tmp_path / "model.mvt" / "lvt.mat").exists()

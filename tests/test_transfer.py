@@ -254,14 +254,15 @@ def test_gvt_gradients_match_finite_differences(rng):
             assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
-def _reference_gvt_gradients(W, ctx, alignments):
+def _reference_gvt_gradients(W, ctx, alignments, mask):
     """d/dW and d/dA of the penalty as written first: zeros plus each source's term."""
     dW = np.zeros_like(W)
     dA = {}
-    for sid, gamma, Z, covered, A in ctx.gvt_terms(alignments):
-        R = A @ W - Z
-        if ctx.spec.gvt_mask_oov:
-            R[:, ~covered] = 0.0
+    for sid, gamma in ctx.gvt_weights.items():
+        A, pkb = alignments.get(sid, np.eye(W.shape[0])), ctx.projected[sid]
+        R = A @ W - pkb.topics
+        if mask:
+            R[:, ~pkb.covered] = 0.0
         dW += 2.0 * gamma * (A.T @ R)
         dA[sid] = 2.0 * gamma * (R @ W.T)
     return dW, dA
@@ -284,7 +285,7 @@ def test_gvt_gradients_penalty_is_bit_equal_to_gvt_penalty(rng, mask):
     assert penalty == gvt_penalty(W, ctx, alignments=alignments)
     assert sorted(dA) == ["s0", "s1"]
     # the gradients, signed zeros included, match the zeros-start reference
-    want_dW, want_dA = _reference_gvt_gradients(W, ctx, alignments)
+    want_dW, want_dA = _reference_gvt_gradients(W, ctx, alignments, mask)
     assert _same_bits(dW, want_dW)
     for sid in dA:
         assert _same_bits(dA[sid], want_dA[sid])
@@ -299,7 +300,7 @@ def test_gvt_gradients_sum_turns_negative_zero_positive():
     W = np.zeros((3, 3))
     W[0, 1] = -5e-324
     _, dW, _ = gvt_gradients(W, ctx)
-    assert _same_bits(dW, _reference_gvt_gradients(W, ctx, {})[0])
+    assert _same_bits(dW, _reference_gvt_gradients(W, ctx, {}, False)[0])
     assert not np.signbit(dW).any()
 
 
