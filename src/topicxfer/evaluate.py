@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, CorpusError
 from .fileio import format_float, write_lines
-from .model import document_vector, forward
+from .model import document_vector, forward, word_rows
 
 log = logging.getLogger(__name__)
 
@@ -270,5 +270,7 @@ def retrieval_precision(train, queries, vector_fn, fractions=DEFAULT_FRACTIONS):
 
 
 def model_vector_fn(params, ctx=None):
-    """Document-vector provider over a fixed parameter set."""
-    return lambda doc: document_vector(doc, params, ctx)
+    """Document-vector provider over a fixed parameter set; the rows it sums
+    are prepared once, here."""
+    rows = word_rows(params, ctx)
+    return lambda doc: document_vector(doc, params, rows=rows)

@@ -44,21 +44,29 @@ def read_matrix(path, shape=None):
     """Read a matrix file; a vector is stored as one row, so its shape is (1, n).
 
     With shape given, a matrix of any other shape is a ConfigError naming the file.
+    Any other malformed file is a CorpusError naming it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             rows, cols = map(int, fh.readline().split())
-            mat = np.empty((rows, cols), dtype=np.float64)
+            if rows < 0 or cols < 0:
+                raise ValueError
         except ValueError:
             raise CorpusError(f"{path}: malformed matrix header") from None
-        for r in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise CorpusError(f"{path}: row {r} has {len(parts)} values, expected {cols}")
+        if rows and cols:
+            # one C-level parse of the declared rows, read line by line; it
+            # gives float()'s value for every decimal the writer prints
             try:
-                mat[r] = [float(p) for p in parts]
-            except ValueError:
-                raise CorpusError(f"{path}: row {r} has a non-numeric value") from None
+                mat = np.loadtxt(itertools.islice(fh, rows), dtype=np.float64,
+                                 comments=None, ndmin=2)
+            except ValueError as exc:
+                # numpy's message ends in a hint about usecols, which does not apply
+                raise CorpusError(f"{path}: {str(exc).partition(';')[0]}") from None
+            if mat.shape != (rows, cols):
+                raise CorpusError(f"{path}: {mat.size} values in {mat.shape[0]} rows, "
+                                  f"expected {rows} rows of {cols}")
+        else:
+            mat = np.empty((rows, cols), dtype=np.float64)
         if any(line.strip() for line in fh):
             raise CorpusError(f"{path}: data after the {rows} declared rows")
     if not np.isfinite(mat).all():

@@ -24,7 +24,10 @@ bits depend on these operations, and only these, being kept as they are:
   block, and the caller's sum of logps (numpy's pairwise blocking depends on
   the length);
 - the three BLAS GEMMs U @ hid, dlogits @ hid.T and U.T @ dlogits, with
-  these operand layouts (their bits also depend on the BLAS thread count).
+  these operand layouts (their bits also depend on the BLAS thread count);
+- model.document_vector's sum over positions: sequential, in sorted-index
+  order.  Summing the gathered rows of a contiguous W^T over axis 0 keeps
+  it; a C-ordered gather of W's columns such as W.take(o, axis=1) breaks it.
 
 The column maximum m is order-free.  So an elementwise pass or the maximum
 may be moved into another buffer or layout freely.  A reordered sum changes

@@ -153,10 +153,15 @@ def _transfer_args(params, ctx):
     return (kernels.EMPTY_LVT, False, gvt_on) if lvt is None else (lvt, True, gvt_on)
 
 
-def _kernel_args(words, params, ctx):
+def _checked_words(words, params):
     words = word_indices(words, "cannot run the model on an empty document")
     if words.min() < 0 or words.max() >= params.vocab_size:
         raise CorpusError("word index out of range for this model")
+    return words
+
+
+def _kernel_args(words, params, ctx):
+    words = _checked_words(words, params)
     lvt, use_lvt, _ = _transfer_args(params, ctx)
     return words, lvt, use_lvt, _act_code(params.activation)
 
@@ -217,18 +222,28 @@ def gradients(doc, params, ctx=None):
     return grads
 
 
-def document_vector(doc, params, ctx=None):
+def word_rows(params, ctx=None):
+    """The (K, H) rows document_vector sums: one contiguous copy of W^T, or of
+    (W + the context's LVT matrix)^T; ConfigError when ctx does not fit params."""
+    lvt, use_lvt, _ = _transfer_args(params, ctx)
+    return np.ascontiguousarray((params.W + lvt if use_lvt else params.W).T)
+
+
+def document_vector(doc, params, ctx=None, rows=None):
     """Hidden state after the whole document: g(c + sum of word columns + transfer terms).
 
-    Word order does not matter; columns are summed in sorted-index order so the
-    result is exactly permutation-invariant.
+    rows is word_rows(params, ctx), built here when not given; a caller that
+    embeds many documents builds it once.  The sum is sequential over
+    positions in sorted-index order, so the result is exactly
+    permutation-invariant: an axis-0 sum of the gathered rows of the
+    contiguous W^T keeps that order, and a C-ordered gather of W's columns
+    such as W.take(o, axis=1) would not.
     """
-    words, lvt, use_lvt, act = _kernel_args(_doc_words(doc), params, ctx)
-    ordered = np.sort(words)
-    cols = params.W[:, ordered]
-    if use_lvt:
-        cols = cols + lvt[:, ordered]
-    return kernels._activate(params.c + cols.sum(axis=1), act)
+    words = _checked_words(_doc_words(doc), params)
+    if rows is None:
+        rows = word_rows(params, ctx)
+    pre = np.add.reduce(rows.take(np.sort(words), axis=0), axis=0)
+    return kernels._activate(params.c + pre, _act_code(params.activation))
 
 
 def ensure_alignments(params, ctx):

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_vocab, random_doc
+from conftest import make_vocab, random_doc, strided_document_vector
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import (EvalReport, coherence, model_vector_fn,
                                 nearest_neighbors, perplexity,
                                 retrieval_precision, top_words)
 from topicxfer.model import ModelParams, document_vector, init_params
+from topicxfer.transfer import TransferContext
 
 
 def zero_params(h, k):
@@ -406,6 +407,39 @@ def test_model_vector_fn_uses_document_vector(rng):
     doc = random_doc(rng, 5, 4)
     fn = model_vector_fn(params)
     np.testing.assert_array_equal(fn(doc), document_vector(doc, params))
+
+
+@pytest.mark.parametrize("with_lvt", [False, True], ids=["plain", "lvt"])
+def test_retrieval_over_model_vectors_matches_brute_force(rng, with_lvt):
+    # criterion 3's brute-force ranking, over the strided-gather reference vectors
+    h, k = 4, 9
+    params = init_params(h, k, seed=7, init_scale=0.8, activation="tanh")
+    lvt = rng.normal(size=(h, k)) if with_lvt else None
+    names = ["p", "q", "r"]
+    pool = corpus_of(rng, k, rng.integers(1, 12, size=12), rng.integers(0, 3, size=12), names)
+    queries = corpus_of(rng, k, rng.integers(1, 12, size=5), rng.integers(0, 3, size=5), names)
+    fractions = [0.1, 0.25, 0.5, 1.0]
+    got = retrieval_precision(pool, queries, model_vector_fn(
+        params, TransferContext(lvt) if with_lvt else None), fractions)
+
+    def vec(doc):
+        return strided_document_vector(doc, params, lvt)
+
+    assert got == retrieval_precision(pool, queries, vec, fractions)
+
+    def cosine(u, v):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        return -1.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
+
+    for (_, precision), f in zip(got, fractions):
+        m = math.ceil(f * len(pool))
+        per_query = []
+        for query in queries:
+            ranked = sorted(range(len(pool)),
+                            key=lambda t: (-cosine(vec(query), vec(pool.documents[t])), t))
+            per_query.append(sum(pool.documents[t].label == query.label
+                                 for t in ranked[:m]) / m)
+        assert abs(precision - float(np.mean(per_query))) <= 1e-10
 
 
 # ----------------------------------------------------------------- report io

@@ -60,6 +60,75 @@ def test_read_matrix_allows_trailing_blank_lines(tmp_path):
     assert np.array_equal(read_matrix(path), [[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x 3\n1 2 3\n", "malformed matrix header"),
+    ("2.5 3\n1 2 3\n", "malformed matrix header"),
+    ("-1 3\n", "malformed matrix header"),
+    ("2 -3\n", "malformed matrix header"),
+    ("2\n1 2 3\n", "malformed matrix header"),
+    ("", "malformed matrix header"),
+    ("2 3\n1 2 3\n", "3 values in 1 rows, expected 2 rows of 3"),
+    ("2 3\n1 2 3\n\n4 5 6\n", "3 values in 1 rows, expected 2 rows of 3"),
+    ("2 3\n\n\n", "0 values in 0 rows, expected 2 rows of 3"),
+    ("2 3\n1 2 3\n4 5\n", "the number of columns changed from 3 to 2"),
+    ("2 3\n1 2 3\n4 5 6 7\n", "the number of columns changed from 3 to 4"),
+    ("1 3\n1 2 3 4\n", "4 values in 1 rows, expected 1 rows of 3"),
+    ("1 3\n1 x 3\n", "could not convert string 'x' to float64"),
+    ("1 3\n1 2 #3\n", "could not convert string '#3' to float64"),
+    ("1 3\n1_0 2 3\n", "could not convert string '1_0' to float64"),
+    ("1 3\n1 nan 3\n", "matrix contains non-finite values"),
+    ("1 3\n1 -inf 3\n", "matrix contains non-finite values"),
+    ("1 3\n1 1e400 3\n", "matrix contains non-finite values"),
+    ("0 3\n1 2 3\n", "data after the 0 declared rows"),
+], ids=["word-header", "float-header", "negative-rows", "negative-cols", "one-number-header",
+        "empty-file", "missing-row", "blank-between-rows", "blank-rows", "short-row",
+        "long-row", "long-rows", "non-numeric", "comment", "underscore", "nan", "inf",
+        "overflow", "data-after-no-rows"])
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_read_matrix_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "m.mat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        read_matrix(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"2 3\r\n1 2 3\r\n4 5 6\r\n\r\n", [[1, 2, 3], [4, 5, 6]]),
+    (b"1 3\n  +1\t-2  .5e1 \n", [[1, -2, 5]]),
+    (b"3 1\n1\n2\n3\n", [[1], [2], [3]]),
+    (b"0 3\n", np.zeros((0, 3))),
+    (b"0 3\n\n", np.zeros((0, 3))),
+], ids=["crlf", "spacing", "one-column", "no-rows", "no-rows-blank-line"])
+def test_read_matrix_accepts(tmp_path, data, want):
+    path = tmp_path / "m.mat"
+    path.write_bytes(data)
+    got = read_matrix(path)
+    assert got.dtype == np.float64 and got.shape == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_read_matrix_gives_float_of_every_written_token(tmp_path, rng):
+    # every finite bit pattern is equally likely, so the decimal exponents span
+    # -324..308; then random subnormals and the extremes
+    bits = rng.integers(0, 2**64 - 1, size=12_000, dtype=np.uint64, endpoint=True)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:10_000]
+    subnormals = rng.integers(1, 2**52, size=400, dtype=np.uint64).view(np.float64)
+    max64 = np.finfo(np.float64).max
+    extremes = [0.0, -0.0, max64, -max64, 5e-324, -5e-324, 2.2250738585072014e-308]
+    mat = np.concatenate([values, subnormals, -subnormals, extremes, [1.0] * 93])
+    mat = mat.reshape(-1, 100)
+    path = tmp_path / "m.mat"
+    write_matrix(path, mat)
+    tokens = path.read_text(encoding="utf-8").split()[2:]
+    want = np.array([float(token) for token in tokens]).reshape(mat.shape)
+    got = read_matrix(path)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got.view(np.int64), mat.view(np.int64))
+
+
 @pytest.mark.parametrize("error", [CorpusError, ConfigError])
 def test_read_kv_rejects_repeated_key(tmp_path, error):
     path = tmp_path / "c.cfg"
@@ -73,16 +142,34 @@ _MODE_CHARS = set("rwaxbt+")
 _NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}
 
 
-def _writes(call):
+def _numpy_names(tree):
+    """The names numpy is bound to in tree: np, numpy and every ``import numpy as``."""
+    return {"np", "numpy"} | {alias.asname or alias.name for node in ast.walk(tree)
+                              if isinstance(node, ast.Import)
+                              for alias in node.names if alias.name == "numpy"}
+
+
+def _writer_sites(tree):
+    """The nodes of tree that may write a file: each call _writes flags, and each
+    ``from numpy import`` of a numpy writer, whose calls go by a bare name."""
+    numpy_names = _numpy_names(tree)
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _writes(node, numpy_names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name in _NUMPY_WRITERS for alias in node.names)]
+
+
+def _writes(call, numpy_names):
     """Whether the call may open a file for writing: an open() with a writing
     mode literal, or with a mode argument that is not a literal (os.open's
-    flags too), a write_text/write_bytes/tofile call, or an np.save-like call."""
+    flags too), a write_text/write_bytes/tofile call, or an np.save-like call
+    through any of numpy_names."""
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name in ("write_text", "write_bytes", "tofile"):
         return True
     if name in _NUMPY_WRITERS and isinstance(func, ast.Attribute):
-        return isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        return isinstance(func.value, ast.Name) and func.value.id in numpy_names
     if name != "open":
         return False
     mode_args = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
@@ -107,7 +194,7 @@ def test_write_lines_is_the_only_file_writer():
                 if isinstance(node, ast.FunctionDef) and node.name == "write_lines":
                     allowed = {id(n) for n in ast.walk(node)}
         sites += [(os.path.basename(path), node.lineno, id(node) in allowed)
-                  for node in ast.walk(tree) if isinstance(node, ast.Call) and _writes(node)]
+                  for node in _writer_sites(tree)]
     assert [allowed for _, _, allowed in sites] == [True], sites
 
 
@@ -115,6 +202,11 @@ def test_write_lines_is_the_only_file_writer():
     ("np.save(p, a)", True), ("numpy.savez(p, a=a)", True), ("np.savez_compressed(p, a=a)", True),
     ("np.savetxt(p, a)", True), ("a.tofile(p)", True), ("p.write_bytes(b)", True),
     ("open(p, 'w')", True), ("open(p, mode)", True), ("open(p)", False),
-    ("report.save(p)", False), ("np.load(p)", False)])
+    ("report.save(p)", False), ("np.load(p)", False),
+    ("from numpy import save\nsave(p, a)", True), ("from numpy import savez as z", True),
+    ("from numpy import savez_compressed, load", True), ("from numpy import savetxt", True),
+    ("from numpy import load\nload(p)", False), ("import numpy as xp\nxp.save(p, a)", True),
+    ("import os, numpy as xp\nxp.savetxt(p, a)", True), ("import numpy as xp\nxp.load(p)", False),
+    ("xp.save(p, a)", False)])
 def test_writer_finder_sees_numpy_writers(source, writes):
-    assert _writes(ast.parse(source).body[0].value) is writes
+    assert bool(_writer_sites(ast.parse(source))) is writes

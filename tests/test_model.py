@@ -3,15 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_vocab, random_doc
+from conftest import make_vocab, random_doc, strided_document_vector
 from topicxfer import kernels
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
-from topicxfer.evaluate import perplexity
+from topicxfer.evaluate import model_vector_fn, perplexity
 from topicxfer.fileio import write_matrix
 from topicxfer.model import (ModelParams, TrainConfig, document_vector,
                              ensure_alignments, forward, gradients, init_params,
-                             load_model, loss, save_model, train)
+                             load_model, loss, save_model, train, word_rows)
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferContext,
                                 TransferSpec, gvt_gradients, gvt_penalty, load_kb,
                                 make_transfer_context, save_kb)
@@ -247,6 +247,31 @@ def test_document_vector_permutation_invariant(rng):
 
 def _int64(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+@pytest.mark.parametrize("with_lvt", [False, True], ids=["plain", "lvt"])
+def test_document_vector_matches_the_strided_gather_bits(rng, activation, with_lvt):
+    shapes = [(1, 1), (1, 9), (7, 1)] + [tuple(rng.integers(1, 501, size=2)) for _ in range(12)]
+    for h, k in shapes:
+        params = init_params(h, k, seed=int(rng.integers(1 << 30)), init_scale=0.5,
+                             activation=activation)
+        lvt = rng.normal(scale=0.5, size=(h, k)) if with_lvt else None
+        ctx = TransferContext(lvt) if with_lvt else None
+        rows = word_rows(params, ctx)
+        assert rows.shape == (k, h) and rows.flags.c_contiguous
+        vector_fn = model_vector_fn(params, ctx)
+        d = int(rng.integers(1, 501))
+        # a narrow index range forces repeated words
+        docs = [rng.integers(0, k, size=d), rng.integers(0, max(1, k // 20), size=d),
+                rng.integers(0, k, size=1)]
+        for words in docs:
+            doc = Document(words.astype(np.int64))
+            want = _int64(strided_document_vector(doc, params, lvt))
+            np.testing.assert_array_equal(_int64(document_vector(doc, params, ctx)), want)
+            np.testing.assert_array_equal(
+                _int64(document_vector(doc, params, ctx, rows=rows)), want)
+            np.testing.assert_array_equal(_int64(vector_fn(doc)), want)
 
 
 @pytest.mark.parametrize("mask", [False, True], ids=["unmasked", "masked"])

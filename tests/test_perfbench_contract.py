@@ -119,3 +119,41 @@ def test_traced_contexts_give_the_gvt_flop_counts(tracer):
         "transfer.gvt_gradients", "transfer.gvt_penalty", "transfer.gvt_residual_norms",
         "evaluate.perplexity", "model.document_vector",
         "evaluate.perplexity", "model.document_vector"]
+
+
+def test_traced_evaluation_records_one_span_per_document_and_matrix(tracer, tmp_path):
+    # eval-large's per-layer counts come from these spans: one document_vector
+    # per document under retrieval_precision, one read_matrix per bundle matrix
+    rng = np.random.default_rng(1)
+    h, k = 3, 6
+    vocab = Vocabulary([f"w{i}" for i in range(k)])
+    params = model.init_params(h, k, seed=1, init_scale=0.5)
+    params.alignments["s0"] = np.eye(h)
+    lvt = rng.normal(size=(h, k))
+
+    def labeled(n):
+        docs = [Document(rng.integers(0, k, size=int(rng.integers(1, 9))), i % 2)
+                for i in range(n)]
+        return Corpus(vocab, docs, label_names=["a", "b"])
+
+    pool, queries = labeled(7), labeled(3)
+    with tracer.Tracer() as traced:
+        evaluate.retrieval_precision(pool, queries, evaluate.model_vector_fn(
+            params, transfer.InferenceContext(lvt)))
+    root, *vectors = traced.spans
+    assert root["name"] == "evaluate.retrieval_precision"
+    assert [(s["name"], s["parent"], s["counts"]["tokens"]) for s in vectors] == [
+        ("model.document_vector", root["id"], len(doc))
+        for doc in (*pool.documents, *queries.documents)]
+
+    bundle = tmp_path / "bundle"
+    model.save_model(params, vocab, bundle, lvt_matrix=lvt)
+    sizes = sorted(path.stat().st_size for path in bundle.glob("*.mat"))
+    assert len(sizes) == 6  # W, U, b, c, A.s0 and lvt
+    with tracer.Tracer() as traced:
+        model.load_model(bundle)
+    root, *reads = traced.spans
+    assert root["name"] == "model.load_model"
+    assert [(s["name"], s["parent"]) for s in reads] == [
+        ("fileio.read_matrix", root["id"])] * len(sizes)
+    assert sorted(s["counts"]["bytes"] for s in reads) == sizes
