@@ -24,7 +24,8 @@ from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluat
                       load_target, parse_config, run_experiment, transfer_context)
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
-from .transfer import TransferContext, build_kb, load_embeddings_text, load_kb, save_kb
+from .transfer import (TransferContext, build_kb, check_source_id, load_embeddings_text, load_kb,
+                       save_kb)
 
 
 # the SyntheticSpec fields whose synth flag and config key differ from the field name
@@ -166,13 +167,17 @@ def _cmd_import_embeddings(args):
 
 
 def _parse_kb_flags(kb_args):
-    kbs = []
+    """The KB of each --kb ID=DIR, loaded under ID once every entry is checked."""
+    sources = []
     for entry in kb_args or []:
         source_id, sep, path = entry.partition("=")
         if not (sep and source_id):
             raise TopicxferError(f"--kb expects ID=DIR with a non-empty ID, got {entry!r}")
-        kbs.append(load_kb(path, source_id))
-    return kbs
+        try:
+            sources.append((check_source_id(source_id), path))
+        except ConfigError as exc:
+            raise ConfigError(f"--kb {entry!r}: {exc}") from None
+    return [load_kb(path, source_id) for source_id, path in sources]
 
 
 def _cmd_transfer_train(args):

@@ -1,11 +1,12 @@
 """Shared on-disk formats: matrix files, key=value files (metadata, configs)
-and bundles of both.  Every file the package writes goes through write_lines.
+and bundles of both.  Every file the package writes goes through write_lines,
+and only this module removes or renames files.
 
 Matrix format: first line ``rows cols``, then ``rows`` lines of ``cols``
 space-separated decimals printed with 17 significant digits.
 """
 
-import fnmatch
+import contextlib
 import itertools
 import os
 from dataclasses import fields
@@ -21,9 +22,21 @@ def format_float(x):
 
 
 def write_lines(path, lines):
-    """Write each string of lines and a ``\n`` after it, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(map("{}\n".format, lines))
+    """Write each string of lines and a ``\n`` after it, UTF-8.
+
+    The lines go to a temporary sibling that replaces path once all are
+    written, so path holds its old bytes or all the new ones; if lines (or the
+    write) raises, the temporary file is removed.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(map("{}\n".format, lines))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_matrix(path, mat):
@@ -113,28 +126,27 @@ def parse_entry(path, key, raw, cast):
         raise ConfigError(f"{path}: {key}: {exc}") from None
 
 
-def matrix_names(bundle_dir, pattern):
-    """The NAME of each NAME.mat in bundle_dir that matches the fnmatch pattern, sorted."""
-    return sorted(member[:-4] for member in os.listdir(bundle_dir)
-                  if fnmatch.fnmatchcase(member, f"{pattern}.mat"))
+def write_bundle(out_dir, meta, vocabulary, matrices):
+    """Write vocab.txt, NAME.mat per name -> matrix and last meta.txt: the (key,
+    value) items of meta, then ``matrices`` naming the matrices in write order.
 
-
-def write_bundle(out_dir, meta, vocabulary, matrices, optional):
-    """Write meta.txt from the (key, value) items, vocab.txt and NAME.mat per
-    name -> matrix; remove each earlier NAME.mat whose NAME matches an optional
-    pattern and is not written now, so no reader picks it up."""
+    The old meta.txt and every .mat not written now are removed first, so a
+    save that stops partway leaves no meta.txt and BundleReader refuses it."""
     os.makedirs(out_dir, exist_ok=True)
-    for pattern in optional:
-        for name in set(matrix_names(out_dir, pattern)) - matrices.keys():
-            os.remove(os.path.join(out_dir, f"{name}.mat"))
-    write_kv(os.path.join(out_dir, "meta.txt"), meta)
+    meta_path = os.path.join(out_dir, "meta.txt")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
+    for member in os.listdir(out_dir):
+        if member.endswith(".mat") and member[:-4] not in matrices:
+            os.remove(os.path.join(out_dir, member))
     vocabulary.save(os.path.join(out_dir, "vocab.txt"))
     for name, mat in matrices.items():
         write_matrix(os.path.join(out_dir, f"{name}.mat"), mat)
+    write_kv(meta_path, [*meta, ("matrices", " ".join(matrices))])
 
 
 class BundleReader:
-    """A write_bundle directory: its meta.txt entries, vocabulary and matrices."""
+    """A write_bundle directory: its meta.txt entries, members and vocabulary."""
 
     def __init__(self, bundle_dir):
         from .corpus import Vocabulary  # corpus imports this module
@@ -142,6 +154,8 @@ class BundleReader:
         self.dir = bundle_dir
         self.meta_path = os.path.join(bundle_dir, "meta.txt")
         self.meta = read_kv(self.meta_path)
+        # the matrix names of meta.txt's matrices entry, in write order
+        self.members = self.entry("matrices", str.split)
         self.vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
 
     def entry(self, key, cast, default=None):
@@ -154,7 +168,10 @@ class BundleReader:
         return default
 
     def matrix(self, name, shape=None):
-        """NAME.mat; a shape other than a given one is a ConfigError naming the file."""
+        """NAME.mat, a listed member; a shape other than a given one is a
+        ConfigError naming the file."""
+        if name not in self.members:
+            raise ConfigError(f"{self.meta_path}: matrices does not list {name!r}")
         return read_matrix(os.path.join(self.dir, f"{name}.mat"), shape)
 
 

@@ -22,8 +22,8 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        retrieval_precision)
 from .fileio import format_float, parse_entry, read_kv, settings, write_lines
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
-from .transfer import (SourceWeight, TransferSpec, build_kb, check_weights, load_kb,
-                       make_transfer_context, save_kb)
+from .transfer import (SourceWeight, TransferSpec, build_kb, check_source_id, check_weights,
+                       load_kb, make_transfer_context, save_kb)
 
 # the transfer views ("lvt" local, "gvt" global) each transfer mode trains with
 MODE_VIEWS = {"lvt": ("lvt",), "gvt": ("gvt",), "mvt": ("lvt", "gvt")}
@@ -65,6 +65,7 @@ class SourceConfig:
     gamma_override: float | None = None
 
     def __post_init__(self):
+        check_source_id(self.source_id)
         if (self.corpus_path is None) == (self.kb_path is None):
             raise ConfigError(
                 f"source.{self.source_id}: give exactly one of a corpus path or a KB path")
@@ -129,8 +130,7 @@ def parse_config(path):
             if len(parts) != 3:
                 raise ConfigError(f"{path}: malformed source key {key!r}")
             _, sid, attr = parts
-            if not sid:
-                raise ConfigError(f"{path}: {key}: the source id is empty")
+            parse_entry(path, key, sid, check_source_id)
             sources.setdefault(sid, {})[attr] = value
         else:
             plain[key] = value

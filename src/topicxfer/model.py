@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels, transfer
 from .corpus import word_indices
 from .errors import ConfigError, CorpusError, NumericalError
-from .fileio import BundleReader, matrix_names, parse_entry, write_bundle
+from .fileio import BundleReader, parse_entry, write_bundle
 from .fileio import read_matrix, write_matrix  # noqa: F401 (perfbench/tracer.py patches them)
 
 ACTIVATIONS = ("sigmoid", "tanh")
@@ -338,31 +338,27 @@ def train(corpus, config, ctx=None, validation=None):
 # ---------------------------------------------------------------------------
 
 def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
-    """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments.
-
-    Alignment and lvt.mat files left in out_dir by an earlier save that this
-    bundle does not write are removed, so load_model cannot pick them up.
-    """
+    """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments
+    and the lvt matrix if given (fileio.write_bundle)."""
     meta = [
         ("H", params.n_topics),
         ("K", params.vocab_size),
         ("activation", params.activation),
         ("seed", seed),
         ("trained_epochs", params.trained_epochs),
-        ("has_lvt", int(lvt_matrix is not None)),
     ]
     matrices = {"W": params.W, "U": params.U, "b": params.b, "c": params.c}
     matrices.update((f"A.{source_id}", A) for source_id, A in params.alignments.items())
     if lvt_matrix is not None:
         matrices["lvt"] = lvt_matrix
-    write_bundle(out_dir, meta, vocabulary, matrices, optional=("A.*", "lvt"))
+    write_bundle(out_dir, meta, vocabulary, matrices)
 
 
 def load_model(bundle_dir):
     """Load a model bundle.  Returns (params, vocabulary, meta, lvt_matrix or None).
 
-    meta.txt's H and K, U.mat, b.mat, c.mat, lvt.mat and every A.*.mat must
-    agree with W's shape.
+    meta.txt's H and K, U.mat, b.mat, c.mat and each A.*.mat and lvt.mat that
+    meta.txt lists must agree with W's shape.
     """
     bundle = BundleReader(bundle_dir)
     W = bundle.matrix("W")
@@ -375,14 +371,12 @@ def load_model(bundle_dir):
     b = bundle.matrix("b", (1, k))[0]
     c = bundle.matrix("c", (1, h))[0]
     alignments = {name[2:]: bundle.matrix(name, (h, h))
-                  for name in matrix_names(bundle_dir, "A.*")}
+                  for name in bundle.members if name.startswith("A.")}
     activation = bundle.meta.get("activation", "sigmoid")
     parse_entry(bundle.meta_path, "activation", activation, _act_code)
     params = ModelParams(W, U, b, c, activation=activation, alignments=alignments,
                          trained_epochs=bundle.entry("trained_epochs", int, 0))
-    lvt = None
-    if bundle.entry("has_lvt", int, 0):
-        lvt = bundle.matrix("lvt", W.shape)
+    lvt = bundle.matrix("lvt", W.shape) if "lvt" in bundle.members else None
     if len(bundle.vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")
     return params, bundle.vocabulary, bundle.meta, lvt

@@ -12,6 +12,7 @@ source is multi-source transfer.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,18 @@ def check_weights(weights, what="transfer weights"):
         raise ConfigError(f"{what} must be finite and >= 0")
 
 
+_SOURCE_ID = re.compile(r"[A-Za-z0-9_.-]+")
+
+
+def check_source_id(source_id):
+    """source_id if it is one plain file-name token, else a ConfigError: a source id
+    names the A.<id>.mat of its alignment and is one word of meta.txt's matrices."""
+    if not _SOURCE_ID.fullmatch(source_id):
+        raise ConfigError(f"source id {source_id!r} must be one or more letters, digits, "
+                          "'_', '-' or '.'")
+    return source_id
+
+
 @dataclass
 class TransferSpec:
     """Per-source transfer weights plus which views are active.
@@ -101,6 +114,7 @@ class TransferSpec:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate source ids in transfer spec")
         for s in self.sources:
+            check_source_id(s.source_id)
             check_weights((s.lam, s.gamma), f"source {s.source_id!r}: lambda and gamma")
         if self.lvt_enabled and not self.lvt_weights:
             raise ConfigError("local-view transfer enabled but every lambda is zero")
@@ -283,24 +297,21 @@ def save_kb(kb, out_dir):
         ("source_id", kb.source_id),
         ("E_dim", kb.embedding_dim),
         ("H_s", kb.n_topics if kb.topics is not None else 0),
-        ("has_Z", int(kb.topics is not None)),
     ]
     matrices = {"E": kb.embeddings}
     if kb.topics is not None:
         matrices["Z"] = kb.topics
-    write_bundle(out_dir, meta, kb.vocabulary, matrices, optional=("Z",))
+    write_bundle(out_dir, meta, kb.vocabulary, matrices)
 
 
 def load_kb(bundle_dir, source_id=None):
     """Load a knowledge base under source_id (None: the id it was saved with);
-    E.mat and Z.mat must have meta.txt's E_dim and H_s rows and one column per
-    vocab.txt word."""
+    E.mat, and Z.mat if meta.txt lists it, must have meta.txt's E_dim and H_s
+    rows and one column per vocab.txt word."""
     bundle = BundleReader(bundle_dir)
     k = len(bundle.vocabulary)
     E = bundle.matrix("E", (bundle.entry("E_dim", int), k))
-    Z = None
-    if bundle.entry("has_Z", int, 0):
-        Z = bundle.matrix("Z", (bundle.entry("H_s", int), k))
+    Z = bundle.matrix("Z", (bundle.entry("H_s", int), k)) if "Z" in bundle.members else None
     saved_id = bundle.entry("source_id", str)
     return KnowledgeBase(saved_id if source_id is None else source_id, bundle.vocabulary, E, Z)
 
@@ -331,7 +342,12 @@ def load_embeddings_text(path, source_id):
                 rows.append([float(v) for v in values])
             except ValueError as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise CorpusError(f"{path}: line {lineno}: non-finite value")
     if not tokens:
         raise CorpusError(f"{path}: no embeddings found")
-    vocab = Vocabulary(tokens)
+    try:
+        vocab = Vocabulary(tokens)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
     return KnowledgeBase(source_id, vocab, np.array(rows).T)

@@ -291,6 +291,8 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
     ("mode = baseline\nmin_freq = 0\n", "min_freq"),
     ("mode = baseline\nmax_vocab = 0\n", "max_vocab"),
     ("mode = baseline\nsource..corpus = s.txt\n", "source..corpus"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.a/b.corpus = s.txt\n", "source.a/b.corpus"),
+    ("mode = lvt\ntarget.validation = v.txt\nsource.a b.corpus = s.txt\n", "source.a b.corpus"),
     ("mode = zero-shot\nsource.s1.kb = kb\n", "source.s1"),
     ("mode = lvt\ntarget.validation = v.txt\nsource.s1.corpus = s.txt\nlambda_grid = nan\n",
      "lambda_grid"),
@@ -304,8 +306,9 @@ def test_experiment_range_error_names_file_and_key(tmp_path, family, capsys):
      "source.s1.lambda"),
 ], ids=["unknown-mode", "missing-validation", "empty-grid", "corpus-and-kb",
         "neither-corpus-nor-kb", "coherence-window", "coherence-top-n", "eval-fractions",
-        "min-freq", "max-vocab", "empty-source-id", "union-mode-kb", "lambda-grid-nan",
-        "lambda-grid-negative", "gamma-grid-nan", "source-gamma-nan", "source-lambda-inf"])
+        "min-freq", "max-vocab", "empty-source-id", "slash-source-id", "space-source-id",
+        "union-mode-kb", "lambda-grid-nan", "lambda-grid-negative", "gamma-grid-nan",
+        "source-gamma-nan", "source-lambda-inf"])
 def test_experiment_check_error_names_file_and_key(tmp_path, capsys, text, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"target.train = t.txt\ntarget.test = e.txt\nout = {tmp_path / 'out'}\n"
@@ -383,6 +386,10 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "s1={tmp}/kb", "--mode", "gvt",
       "--gamma", "inf"], "--gamma:"),
     (["transfer-train", "--train", "{tmp}/t.txt", "--kb", "={tmp}/kb"], "--kb"),
+    (["transfer-train", "--train", "{tmp}/missing.txt", "--kb", "s1={tmp}/missing-kb", "--kb",
+      "a/b={tmp}/kb", "--mode", "gvt", "--epochs", "3"], "--kb 'a/b={tmp}/kb':"),
+    (["transfer-train", "--train", "{tmp}/missing.txt", "--kb", "a b={tmp}/kb"],
+     "--kb 'a b={tmp}/kb':"),
     (["train", "--train", "{tmp}/missing.txt", "--min-freq", "0"], "--min-freq:"),
     (["train", "--train", "{tmp}/missing.txt", "--max-vocab", "0"], "--max-vocab:"),
     (["eval", "--model", "{tmp}/model", "--test", "{tmp}/t.txt", "--fractions", "nan"],
@@ -391,6 +398,7 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["import-embeddings", "--embeddings", "{tmp}/vecs.txt", "--source-id", "ext"],
      "{tmp}/vecs.txt: line 1:"),
 ], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "kb-empty-id",
+        "kb-slash-id", "kb-space-id",
         "min-freq-zero", "max-vocab-zero", "fractions-nan", "concentration-nan",
         "embedding-not-a-number"])
 def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):

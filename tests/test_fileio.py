@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from topicxfer.errors import ConfigError, CorpusError
-from topicxfer.fileio import format_float, read_kv, read_matrix, write_matrix
+from topicxfer.fileio import format_float, read_kv, read_matrix, write_lines, write_matrix
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 1 / 3,
                -1e300, 1.0, -2.5, 123456789.0]
@@ -137,9 +137,29 @@ def test_read_kv_rejects_repeated_key(tmp_path, error):
         read_kv(path, error=error)
 
 
+def test_write_lines_that_raises_keeps_the_old_file(tmp_path):
+    path = tmp_path / "f.txt"
+    write_lines(path, ["old", "bytes"])
+
+    def lines():
+        yield "new"
+        yield "x" * 100_000
+        raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old\nbytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+    write_lines(path, iter(["new"]))
+    assert path.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "topicxfer")
 _MODE_CHARS = set("rwaxbt+")
 _NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}
+# the functions of each module that remove or rename files
+_FILE_MOVERS = {"os": {"remove", "unlink", "replace", "rename"}, "shutil": {"rmtree", "move"}}
 
 
 def _numpy_names(tree):
@@ -181,21 +201,52 @@ def _writes(call, numpy_names):
     return any(set(mode) <= _MODE_CHARS and set(mode) & set("wax+") for mode in literals)
 
 
+def _mover_sites(tree):
+    """The nodes of tree that may remove or rename a file: a call of a _FILE_MOVERS
+    function through its module (or an ``import ... as`` alias of it), and each
+    ``from os/shutil import`` of one."""
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name in _FILE_MOVERS}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in _FILE_MOVERS.get(node.module, ()) for alias in node.names):
+                sites.append(node)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)):
+            module = modules.get(node.func.value.id, node.func.value.id)
+            if node.func.attr in _FILE_MOVERS.get(module, ()):
+                sites.append(node)
+    return sites
+
+
+def _package_trees():
+    """(file name, parsed module) of each module of the package."""
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), ast.parse(fh.read())
+
+
 def test_write_lines_is_the_only_file_writer():
     # every artifact is written in one place, so its encoding, line ends and
     # write discipline are one decision
     sites = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         allowed = set()
-        if os.path.basename(path) == "fileio.py":
+        if name == "fileio.py":
             for node in tree.body:
                 if isinstance(node, ast.FunctionDef) and node.name == "write_lines":
                     allowed = {id(n) for n in ast.walk(node)}
-        sites += [(os.path.basename(path), node.lineno, id(node) in allowed)
-                  for node in _writer_sites(tree)]
+        sites += [(name, node.lineno, id(node) in allowed) for node in _writer_sites(tree)]
     assert [allowed for _, _, allowed in sites] == [True], sites
+
+
+def test_only_fileio_removes_or_renames_files():
+    # which files a save replaces or removes is decided in one module
+    sites = [(name, node.lineno) for name, tree in _package_trees()
+             for node in _mover_sites(tree)]
+    assert sites and {name for name, _ in sites} == {"fileio.py"}, sites
 
 
 @pytest.mark.parametrize("source, writes", [
@@ -210,3 +261,17 @@ def test_write_lines_is_the_only_file_writer():
     ("xp.save(p, a)", False)])
 def test_writer_finder_sees_numpy_writers(source, writes):
     assert bool(_writer_sites(ast.parse(source))) is writes
+
+
+@pytest.mark.parametrize("source, moves", [
+    ("os.remove(p)", True), ("os.unlink(p)", True), ("os.replace(a, b)", True),
+    ("os.rename(a, b)", True), ("shutil.rmtree(d)", True), ("shutil.move(a, b)", True),
+    ("import os as o\no.replace(a, b)", True), ("import shutil as sh\nsh.rmtree(d)", True),
+    ("from os import remove", True), ("from shutil import rmtree as r\nr(d)", True),
+    ("from os import listdir, rename", True),
+    ("text.replace(a, b)", False), ("path.replace(a, b)", False), ("os.listdir(d)", False),
+    ("os.makedirs(d)", False), ("os.path.exists(p)", False), ("shutil.copy(a, b)", False),
+    ("from os import listdir", False), ("from os.path import join", False),
+    ("import os as o\nos_.remove(p)", False)])
+def test_mover_finder_sees_removes_and_renames(source, moves):
+    assert bool(_mover_sites(ast.parse(source))) is moves

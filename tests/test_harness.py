@@ -146,6 +146,12 @@ def test_config_mode_validation(tmp_path):
         ExperimentConfig(mode="wat", target_train="a", target_test="b", out_dir="o")
 
 
+@pytest.mark.parametrize("source_id", ["a/b", "a b", ""])
+def test_source_config_rejects_source_id_that_is_not_one_file_name_token(source_id):
+    with pytest.raises(ConfigError, match=f"source id {source_id!r} must be"):
+        SourceConfig(source_id, corpus_path="c")
+
+
 # ----------------------------------------------------------------- experiments
 
 def test_baseline_no_learning_matches_fresh_init(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_vocab, random_doc, strided_document_vector
-from topicxfer import kernels
+from topicxfer import fileio, kernels
 from topicxfer.corpus import Corpus, Document, Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import model_vector_fn, perplexity
@@ -476,8 +476,10 @@ def _replace_meta(bundle, old, new):
     ("lvt", "lvt.mat"), ("alignment", "A.s1.mat"),
     ("U", "U.mat"), ("b", "b.mat"), ("c", "c.mat"),
     ("meta-trained_epochs", "meta.txt: trained_epochs"),
-    ("meta-has_lvt", "meta.txt: has_lvt"),
     ("meta-activation", "meta.txt: activation"),
+    ("unlisted-b", "meta.txt: matrices does not list 'b'"),
+    ("listed-file-missing", "A.s1.mat"),
+    ("no-matrices", "meta.txt: missing key 'matrices'"),
     ("W-header", "W.mat"), ("empty-vocab", "vocab.txt"),
 ])
 def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
@@ -491,8 +493,12 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
         _replace_meta(bundle, "K=6", "K=5")
     elif case == "meta-trained_epochs":
         _replace_meta(bundle, "trained_epochs=0", "trained_epochs=x")
-    elif case == "meta-has_lvt":
-        _replace_meta(bundle, "has_lvt=1", "has_lvt=x")
+    elif case == "unlisted-b":
+        _replace_meta(bundle, "matrices=W U b c", "matrices=W U c")
+    elif case == "listed-file-missing":
+        (bundle / culprit).unlink()
+    elif case == "no-matrices":
+        _replace_meta(bundle, "matrices=W U b c A.s1 lvt\n", "")
     elif case == "meta-activation":
         _replace_meta(bundle, "activation=sigmoid", "activation=relu")
     elif case == "W-header":
@@ -504,9 +510,57 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
         shape = {"lvt": (2, 4), "alignment": (3, 2), "U": (6, 2), "b": (1, 5),
                  "c": (1, 4)}[case]
         write_matrix(bundle / culprit, rng.normal(size=shape))
-    error = CorpusError if case in ("W-header", "empty-vocab") else ConfigError
+    error = {"W-header": CorpusError, "empty-vocab": CorpusError,
+             "listed-file-missing": FileNotFoundError}.get(case, ConfigError)
     with pytest.raises(error, match=re.escape(culprit)):
         load_model(bundle)
+
+
+@pytest.mark.parametrize("resave", [False, True], ids=["fresh", "over-complete-bundle"])
+def test_save_that_stops_partway_leaves_no_loadable_bundle(tmp_path, rng, monkeypatch,
+                                                           resave):
+    bundle = tmp_path / "bundle"
+    vocab = make_vocab(6)
+    if resave:
+        old = init_params(3, 6, seed=8)
+        old.alignments["s1"] = rng.normal(size=(3, 3))
+        save_model(old, vocab, bundle, lvt_matrix=rng.normal(size=(3, 6)))
+        load_model(bundle)
+    write_matrix = fileio.write_matrix
+    written = []
+
+    def fail_on_third_call(path, mat):
+        written.append(path)
+        if len(written) == 3:
+            raise OSError("no space left")
+        write_matrix(path, mat)
+
+    monkeypatch.setattr(fileio, "write_matrix", fail_on_third_call)
+    new = init_params(3, 6, seed=9)
+    new.alignments["s2"] = rng.normal(size=(3, 3))
+    with pytest.raises(OSError, match="no space left"):
+        save_model(new, vocab, bundle)
+    monkeypatch.undo()
+    # neither the old model nor a mix of old and new matrices loads
+    with pytest.raises(FileNotFoundError, match=re.escape(str(bundle / "meta.txt"))):
+        load_model(bundle)
+
+
+def test_meta_lists_members_in_write_order(tmp_path, rng):
+    params = init_params(3, 6, seed=8)
+    params.alignments["s2"] = rng.normal(size=(3, 3))
+    params.alignments["s1"] = rng.normal(size=(3, 3))
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "X.mat").write_text("1 1\n0\n")
+    (bundle / "notes.txt").write_text("kept\n")
+    save_model(params, make_vocab(6), bundle, lvt_matrix=rng.normal(size=(3, 6)))
+    assert (bundle / "meta.txt").read_text().splitlines()[-1] == "matrices=W U b c A.s2 A.s1 lvt"
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "A.s1.mat", "A.s2.mat", "U.mat", "W.mat", "b.mat", "c.mat", "lvt.mat", "meta.txt",
+        "notes.txt", "vocab.txt"]
+    loaded, _, _, lvt = load_model(bundle)
+    assert list(loaded.alignments) == ["s2", "s1"] and lvt is not None
 
 
 def test_load_model_rejects_repeated_meta_key(tmp_path):

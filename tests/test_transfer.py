@@ -50,6 +50,9 @@ def test_kb_bundle_roundtrip_is_bit_exact(tmp_path, rng):
 @pytest.mark.parametrize("key, culprit", [
     ("E_dim", "E.mat"), ("H_s", "Z.mat"),
     ("source_id", "meta.txt: missing key 'source_id'"), ("vocab", "E.mat"),
+    ("unlisted-E", "meta.txt: matrices does not list 'E'"),
+    ("listed-file-missing", "Z.mat"),
+    ("no-matrices", "meta.txt: missing key 'matrices'"),
 ])
 def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
     kb = random_kb(rng, "src", 4, [f"t{i}" for i in range(6)])
@@ -60,19 +63,17 @@ def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
     elif key == "vocab":
         # one token shorter than E.mat has columns
         (tmp_path / "kb" / "vocab.txt").write_text("".join(f"t{i}\n" for i in range(5)))
+    elif key == "unlisted-E":
+        meta.write_text(meta.read_text().replace("matrices=E Z", "matrices=Z"))
+    elif key == "listed-file-missing":
+        (tmp_path / "kb" / culprit).unlink()
+    elif key == "no-matrices":
+        meta.write_text(meta.read_text().replace("matrices=E Z\n", ""))
     else:
         meta.write_text(meta.read_text().replace(f"{key}=4", f"{key}=5"))
-    with pytest.raises(ConfigError, match=re.escape(culprit)):
+    error = FileNotFoundError if key == "listed-file-missing" else ConfigError
+    with pytest.raises(error, match=re.escape(culprit)):
         load_kb(tmp_path / "kb")
-
-
-def test_load_kb_rejects_malformed_has_z(tmp_path, rng):
-    save_kb(random_kb(rng, "src", 4, [f"t{i}" for i in range(6)]), tmp_path / "kb")
-    meta = tmp_path / "kb" / "meta.txt"
-    meta.write_text(meta.read_text().replace("has_Z=1", "has_Z=yes please"))
-    with pytest.raises(ConfigError) as info:
-        load_kb(tmp_path / "kb")
-    assert str(info.value).startswith(f"{meta}: has_Z: ")
 
 
 def test_embeddings_text_non_numeric_value_names_file_and_line(tmp_path):
@@ -81,6 +82,30 @@ def test_embeddings_text_non_numeric_value_names_file_and_line(tmp_path):
     with pytest.raises(CorpusError, match=re.escape(
             f"{path}: line 2: could not convert string to float: 'x'")):
         load_embeddings_text(path, "ext")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("beta 0.5 1\nalpha 0.25 nan\n", "line 2: non-finite value"),
+    ("beta 0.5 1\nalpha -inf 1\n", "line 2: non-finite value"),
+    ("alpha 0.5 1\nbeta 1 2\nalpha 0.25 3\n", "duplicate vocabulary tokens: ['alpha']"),
+], ids=["nan", "inf", "repeated-token"])
+def test_embeddings_text_error_names_file(tmp_path, text, message):
+    path = tmp_path / "vecs.txt"
+    path.write_text(text)
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: {message}")):
+        load_embeddings_text(path, "ext")
+
+
+@pytest.mark.parametrize("source_id", ["a/b", "a b", "", "a\tb", "../x", "a=b"])
+def test_transfer_spec_rejects_source_id_that_is_not_one_file_name_token(source_id):
+    with pytest.raises(ConfigError, match=re.escape(f"source id {source_id!r} must be")):
+        TransferSpec([SourceWeight(source_id, lam=1.0)], lvt_enabled=True)
+
+
+def test_transfer_spec_accepts_plain_source_ids():
+    ids = ["s1", "news-2019", "wiki_en", "v1.2", "A"]
+    spec = TransferSpec([SourceWeight(sid, lam=1.0) for sid in ids], lvt_enabled=True)
+    assert list(spec.lvt_weights) == ids
 
 
 def test_embedding_only_kb_roundtrip(tmp_path):

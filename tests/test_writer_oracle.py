@@ -58,7 +58,8 @@ def _oracle_save_model(params, tokens, out_dir, seed=0, lvt_matrix=None):
         ("activation", params.activation),
         ("seed", seed),
         ("trained_epochs", params.trained_epochs),
-        ("has_lvt", int(lvt_matrix is not None)),
+        ("matrices", " ".join(["W", "U", "b", "c", *(f"A.{sid}" for sid in params.alignments)]
+                              + ["lvt"] * (lvt_matrix is not None))),
     ])
     _oracle_save_vocab(tokens, os.path.join(out_dir, "vocab.txt"))
     for name in ("W", "U", "b", "c"):
@@ -75,7 +76,7 @@ def _oracle_save_kb(kb, out_dir):
         ("source_id", kb.source_id),
         ("E_dim", kb.embedding_dim),
         ("H_s", kb.n_topics if kb.topics is not None else 0),
-        ("has_Z", int(kb.topics is not None)),
+        ("matrices", "E" if kb.topics is None else "E Z"),
     ])
     _oracle_save_vocab(kb.vocabulary.tokens, os.path.join(out_dir, "vocab.txt"))
     _oracle_write_matrix(os.path.join(out_dir, "E.mat"), kb.embeddings)
