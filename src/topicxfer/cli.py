@@ -148,8 +148,17 @@ def _cmd_train(args):
     return _train_and_save(args, config, *_load_target(args))
 
 
+def _check_source_id_flag(args):
+    """--source-id's rule, checked before any file is read; the error names the flag."""
+    try:
+        check_source_id(args.source_id)
+    except ConfigError as exc:
+        raise ConfigError(f"--source-id: {exc}") from None
+
+
 def _cmd_build_kb(args):
     _require_out(args)
+    _check_source_id_flag(args)
     params, vocabulary, _, _ = load_model(args.model)
     kb = build_kb(params, vocabulary, args.source_id)
     save_kb(kb, args.out)
@@ -159,6 +168,7 @@ def _cmd_build_kb(args):
 
 def _cmd_import_embeddings(args):
     _require_out(args)
+    _check_source_id_flag(args)
     kb = load_embeddings_text(args.embeddings, args.source_id)
     save_kb(kb, args.out)
     print(f"imported {len(kb.vocabulary)} word vectors "

@@ -56,8 +56,9 @@ def write_matrix(path, mat):
 def read_matrix(path, shape=None):
     """Read a matrix file; a vector is stored as one row, so its shape is (1, n).
 
-    With shape given, a matrix of any other shape is a ConfigError naming the file.
-    Any other malformed file is a CorpusError naming it.
+    With shape given, a matrix of any other shape is a ConfigError naming the
+    file; a None in shape accepts any size.  Any other malformed file is a
+    CorpusError naming it.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -84,8 +85,9 @@ def read_matrix(path, shape=None):
             raise CorpusError(f"{path}: data after the {rows} declared rows")
     if not np.isfinite(mat).all():
         raise CorpusError(f"{path}: matrix contains non-finite values")
-    if shape is not None and mat.shape != shape:
-        raise ConfigError(f"{path}: shape {mat.shape}, expected {shape}")
+    if shape is not None and any(n not in (None, m) for n, m in zip(shape, mat.shape)):
+        expected = ", ".join("any" if n is None else str(n) for n in shape)
+        raise ConfigError(f"{path}: shape {mat.shape}, expected ({expected})")
     return mat
 
 
@@ -158,14 +160,11 @@ class BundleReader:
         self.members = self.entry("matrices", str.split)
         self.vocabulary = Vocabulary.load(os.path.join(bundle_dir, "vocab.txt"))
 
-    def entry(self, key, cast, default=None):
-        """cast(value) of meta.txt's key, else default (None: the key is required);
-        errors name the file and key."""
-        if key in self.meta:
-            return parse_entry(self.meta_path, key, self.meta[key], cast)
-        if default is None:
+    def entry(self, key, cast):
+        """cast(value) of meta.txt's key, which is required; errors name the file and key."""
+        if key not in self.meta:
             raise ConfigError(f"{self.meta_path}: missing key {key!r}")
-        return default
+        return parse_entry(self.meta_path, key, self.meta[key], cast)
 
     def matrix(self, name, shape=None):
         """NAME.mat, a listed member; a shape other than a given one is a

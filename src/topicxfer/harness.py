@@ -230,7 +230,8 @@ def grid_search(train_corpus, validation, kbs, config, candidates):
 def _fingerprint(config, ctx):
     """Stable hash of the effective experiment: data, training, eval, active transfer.
 
-    Only the sources of ctx's per-view weights leave a trace, so a transfer
+    Only the sources of ctx's per-view weights leave a trace (their weights
+    and their corpus or KB path), so a transfer
     mode whose weights all resolved to zero (ctx None) fingerprints
     identically to the baseline.
     """
@@ -251,9 +252,11 @@ def _fingerprint(config, ctx):
         for src in config.sources:
             lines.append(f"union_source={src.source_id},{src.corpus_path}")
     if ctx is not None:
+        sources = {src.source_id: src for src in config.sources}
         for sid in sorted(ctx.lvt_weights.keys() | ctx.gvt_weights.keys()):
             lines.append(f"transfer={sid},{ctx.lvt_weights.get(sid, 0.0)},"
                          f"{ctx.gvt_weights.get(sid, 0.0)}")
+            lines.append(f"source_data={sid},{sources[sid].corpus_path},{sources[sid].kb_path}")
         lines.append(f"gvt_mask_oov={config.gvt_mask_oov}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:16]

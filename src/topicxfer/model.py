@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels, transfer
 from .corpus import word_indices
 from .errors import ConfigError, CorpusError, NumericalError
-from .fileio import BundleReader, parse_entry, write_bundle
+from .fileio import BundleReader, write_bundle
 from .fileio import read_matrix, write_matrix  # noqa: F401 (perfbench/tracer.py patches them)
 
 ACTIVATIONS = ("sigmoid", "tanh")
@@ -87,6 +87,10 @@ class ModelParams:
                 f"inconsistent parameter shapes: W {self.W.shape}, U {self.U.shape}, "
                 f"b {self.b.shape}, c {self.c.shape}"
             )
+        for source_id, A in self.alignments.items():
+            if A.shape != (h, h):
+                raise ConfigError(f"alignment {source_id!r}: shape {A.shape}, "
+                                  f"expected {(h, h)} for W of shape {self.W.shape}")
         for arr in (self.W, self.U, self.b, self.c, *self.alignments.values()):
             if not np.isfinite(arr).all():
                 raise NumericalError("non-finite model parameter")
@@ -340,13 +344,8 @@ def train(corpus, config, ctx=None, validation=None):
 def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
     """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments
     and the lvt matrix if given (fileio.write_bundle)."""
-    meta = [
-        ("H", params.n_topics),
-        ("K", params.vocab_size),
-        ("activation", params.activation),
-        ("seed", seed),
-        ("trained_epochs", params.trained_epochs),
-    ]
+    meta = [("activation", params.activation), ("seed", seed),
+            ("trained_epochs", params.trained_epochs)]
     matrices = {"W": params.W, "U": params.U, "b": params.b, "c": params.c}
     matrices.update((f"A.{source_id}", A) for source_id, A in params.alignments.items())
     if lvt_matrix is not None:
@@ -357,25 +356,21 @@ def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
 def load_model(bundle_dir):
     """Load a model bundle.  Returns (params, vocabulary, meta, lvt_matrix or None).
 
-    meta.txt's H and K, U.mat, b.mat, c.mat and each A.*.mat and lvt.mat that
+    W.mat gives H and K; U.mat, b.mat, c.mat and each A.*.mat and lvt.mat that
     meta.txt lists must agree with W's shape.
     """
     bundle = BundleReader(bundle_dir)
     W = bundle.matrix("W")
     h, k = W.shape
-    for key, size in (("H", h), ("K", k)):
-        if bundle.entry(key, int, size) != size:
-            raise ConfigError(f"{bundle.meta_path}: {key}={bundle.meta[key]} "
-                              f"does not match W.mat shape {W.shape}")
     U = bundle.matrix("U", (k, h))
     b = bundle.matrix("b", (1, k))[0]
     c = bundle.matrix("c", (1, h))[0]
     alignments = {name[2:]: bundle.matrix(name, (h, h))
                   for name in bundle.members if name.startswith("A.")}
-    activation = bundle.meta.get("activation", "sigmoid")
-    parse_entry(bundle.meta_path, "activation", activation, _act_code)
+    activation = bundle.entry("activation", str)
+    bundle.entry("activation", _act_code)  # an unknown name is an error naming meta.txt
     params = ModelParams(W, U, b, c, activation=activation, alignments=alignments,
-                         trained_epochs=bundle.entry("trained_epochs", int, 0))
+                         trained_epochs=bundle.entry("trained_epochs", int))
     lvt = bundle.matrix("lvt", W.shape) if "lvt" in bundle.members else None
     if len(bundle.vocabulary) != params.vocab_size:
         raise ConfigError(f"{bundle_dir}: vocabulary size does not match W")

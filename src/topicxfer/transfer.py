@@ -175,18 +175,20 @@ def build_kb(params, vocabulary, source_id):
 
 def project_kb(kb, target_vocab):
     """Re-index a knowledge base against a target vocabulary (zero columns for misses)."""
-    k_t = len(target_vocab)
-    emb = np.zeros((kb.embedding_dim, k_t))
-    top = None if kb.topics is None else np.zeros((kb.topics.shape[0], k_t))
-    covered = np.zeros(k_t, dtype=bool)
-    for w, token in enumerate(target_vocab):
-        if token in kb.vocabulary:
-            src = kb.vocabulary.index(token)
-            emb[:, w] = kb.embeddings[:, src]
-            if top is not None:
-                top[:, w] = kb.topics[:, src]
-            covered[w] = True
-    return ProjectedKB(kb.source_id, emb, top, covered, covered.sum() / k_t)
+    # the source column of each target word, -1 for a word the source lacks
+    pos = np.array([kb.vocabulary.index(t) if t in kb.vocabulary else -1 for t in target_vocab],
+                   dtype=np.intp)
+    covered = pos >= 0
+    take = np.where(covered, pos, 0)
+
+    def gather(mat):
+        out = mat.take(take, axis=1)
+        out[:, ~covered] = 0.0
+        return out
+
+    top = None if kb.topics is None else gather(kb.topics)
+    return ProjectedKB(kb.source_id, gather(kb.embeddings), top, covered,
+                       covered.sum() / len(pos))
 
 
 def make_transfer_context(kbs, target_vocab, spec, n_topics):
@@ -293,26 +295,20 @@ def gvt_residual_norms(W, ctx, alignments=None):
 # ---------------------------------------------------------------------------
 
 def save_kb(kb, out_dir):
-    meta = [
-        ("source_id", kb.source_id),
-        ("E_dim", kb.embedding_dim),
-        ("H_s", kb.n_topics if kb.topics is not None else 0),
-    ]
     matrices = {"E": kb.embeddings}
     if kb.topics is not None:
         matrices["Z"] = kb.topics
-    write_bundle(out_dir, meta, kb.vocabulary, matrices)
+    write_bundle(out_dir, [("source_id", kb.source_id)], kb.vocabulary, matrices)
 
 
 def load_kb(bundle_dir, source_id=None):
     """Load a knowledge base under source_id (None: the id it was saved with);
-    E.mat, and Z.mat if meta.txt lists it, must have meta.txt's E_dim and H_s
-    rows and one column per vocab.txt word."""
+    E.mat, and Z.mat if meta.txt lists it, must have one column per vocab.txt word."""
     bundle = BundleReader(bundle_dir)
-    k = len(bundle.vocabulary)
-    E = bundle.matrix("E", (bundle.entry("E_dim", int), k))
-    Z = bundle.matrix("Z", (bundle.entry("H_s", int), k)) if "Z" in bundle.members else None
     saved_id = bundle.entry("source_id", str)
+    k = len(bundle.vocabulary)
+    E = bundle.matrix("E", (None, k))
+    Z = bundle.matrix("Z", (None, k)) if "Z" in bundle.members else None
     return KnowledgeBase(saved_id if source_id is None else source_id, bundle.vocabulary, E, Z)
 
 

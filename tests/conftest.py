@@ -3,6 +3,7 @@ import pytest
 
 from topicxfer import kernels
 from topicxfer.corpus import Document, Vocabulary
+from topicxfer.transfer import ProjectedKB
 
 
 @pytest.fixture
@@ -28,3 +29,20 @@ def strided_document_vector(doc, params, lvt=None):
         cols = cols + lvt[:, ordered]
     act = kernels.ACT_TANH if params.activation == "tanh" else kernels.ACT_SIGMOID
     return kernels._activate(params.c + cols.sum(axis=1), act)
+
+
+def looped_project_kb(kb, target_vocab):
+    """transfer.project_kb as a per-word loop of column copies into zeros
+    (frozen reference)."""
+    k_t = len(target_vocab)
+    emb = np.zeros((kb.embedding_dim, k_t))
+    top = None if kb.topics is None else np.zeros((kb.topics.shape[0], k_t))
+    covered = np.zeros(k_t, dtype=bool)
+    for w, token in enumerate(target_vocab):
+        if token in kb.vocabulary:
+            src = kb.vocabulary.index(token)
+            emb[:, w] = kb.embeddings[:, src]
+            if top is not None:
+                top[:, w] = kb.topics[:, src]
+            covered[w] = True
+    return ProjectedKB(kb.source_id, emb, top, covered, covered.sum() / k_t)

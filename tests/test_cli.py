@@ -221,7 +221,8 @@ def test_config_file_supplies_flag_defaults(tmp_path, family, capsys):
     meta = dict(line.split("=", 1) for line in
                 (out / "meta.txt").read_text().splitlines())
     assert meta["trained_epochs"] == "2"
-    assert meta["H"] == "3"
+    # the topic count is W's row count
+    assert (out / "W.mat").read_text().split(maxsplit=1)[0] == "3"
 
 
 @pytest.mark.parametrize("text", [None, "epocs = 2\ntopics = 3\n", "momentum = 0.5\n",
@@ -397,10 +398,13 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["synth", "--mixture-concentration", "nan"], "--mixture-concentration:"),
     (["import-embeddings", "--embeddings", "{tmp}/vecs.txt", "--source-id", "ext"],
      "{tmp}/vecs.txt: line 1:"),
+    (["build-kb", "--model", "{tmp}/missing-model", "--source-id", "a b/c"], "--source-id:"),
+    (["import-embeddings", "--embeddings", "{tmp}/missing.txt", "--source-id", "a b/c"],
+     "--source-id:"),
 ], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "kb-empty-id",
         "kb-slash-id", "kb-space-id",
         "min-freq-zero", "max-vocab-zero", "fractions-nan", "concentration-nan",
-        "embedding-not-a-number"])
+        "embedding-not-a-number", "build-kb-bad-id", "import-bad-id"])
 def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):
     # setting checks run before any file is read and name the flag; the
     # --min-freq/--max-vocab cases name a missing --train file, so only a

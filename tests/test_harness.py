@@ -11,7 +11,7 @@ from topicxfer.harness import (MODE_VIEWS, MODES, ExperimentConfig, SourceConfig
                                run_experiment, transfer_context)
 from topicxfer.model import TrainConfig, init_params, train
 from topicxfer.synthetic import SyntheticSpec, generate_synthetic
-from topicxfer.transfer import KnowledgeBase, build_kb, save_kb
+from topicxfer.transfer import KnowledgeBase, TransferContext, build_kb, save_kb
 
 
 def small_family(tmp_path, seed=1):
@@ -126,6 +126,22 @@ def test_fingerprint_is_stable():
         mode="baseline", target_train="t.txt", target_test="s.txt", out_dir="o",
         train=TrainConfig(learning_rate=0.01, epochs=20, seed=100, n_topics=3))
     assert _fingerprint(config, None) == "585b620d7871ba71"
+
+
+def test_fingerprint_names_the_data_of_each_weighted_source():
+    ctx = TransferContext(np.zeros((3, 4)), lvt_weights={"s1": 0.5},
+                          gvt={"s1": (0.1, np.zeros((3, 4)), None)})
+
+    def fingerprint(source):
+        return _fingerprint(ExperimentConfig(
+            mode="mvt", target_train="t.txt", target_validation="v.txt", target_test="s.txt",
+            out_dir="o", sources=[source]), ctx)
+
+    prints = {fingerprint(SourceConfig("s1", corpus_path="news.txt")),
+              fingerprint(SourceConfig("s1", corpus_path="wiki.txt")),
+              fingerprint(SourceConfig("s1", kb_path="news.txt"))}
+    assert len(prints) == 3
+    assert fingerprint(SourceConfig("s1", corpus_path="news.txt")) in prints
 
 
 def test_parse_config_missing_required(tmp_path):

@@ -63,6 +63,18 @@ def test_init_rejects_bad_dims():
         init_params(0, 5, seed=0)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3), (3,)],
+                         ids=["square", "wide", "tall", "vector"])
+def test_model_params_rejects_alignment_that_is_not_h_by_h(shape):
+    # such a model would save, and its bundle would then fail to load
+    h, k = 3, 4
+    with pytest.raises(ConfigError, match=re.escape(
+            f"alignment 's': shape {shape}, expected (3, 3) for W of shape (3, 4)")) as err:
+        ModelParams(np.zeros((h, k)), np.zeros((k, h)), np.zeros(k), np.zeros(h),
+                    alignments={"s": np.ones(shape)})
+    assert len(str(err.value).splitlines()) == 1
+
+
 # ----------------------------------------------------------------- forward / loss
 
 def test_single_word_uniform_logprob():
@@ -472,7 +484,6 @@ def _replace_meta(bundle, old, new):
 
 
 @pytest.mark.parametrize("case, culprit", [
-    ("meta-H", "meta.txt"), ("meta-K", "meta.txt"),
     ("lvt", "lvt.mat"), ("alignment", "A.s1.mat"),
     ("U", "U.mat"), ("b", "b.mat"), ("c", "c.mat"),
     ("meta-trained_epochs", "meta.txt: trained_epochs"),
@@ -487,11 +498,7 @@ def test_load_model_rejects_shape_mismatch(tmp_path, rng, case, culprit):
     params = init_params(3, 6, seed=8)
     params.alignments["s1"] = rng.normal(size=(3, 3))
     save_model(params, make_vocab(6), bundle, lvt_matrix=rng.normal(size=(3, 6)))
-    if case == "meta-H":
-        _replace_meta(bundle, "H=3", "H=4")
-    elif case == "meta-K":
-        _replace_meta(bundle, "K=6", "K=5")
-    elif case == "meta-trained_epochs":
+    if case == "meta-trained_epochs":
         _replace_meta(bundle, "trained_epochs=0", "trained_epochs=x")
     elif case == "unlisted-b":
         _replace_meta(bundle, "matrices=W U b c", "matrices=W U c")
@@ -567,9 +574,48 @@ def test_load_model_rejects_repeated_meta_key(tmp_path):
     bundle = tmp_path / "bundle"
     save_model(init_params(3, 6, seed=8), make_vocab(6), bundle)
     meta = bundle / "meta.txt"
-    meta.write_text(meta.read_text() + "H=4\n")
-    with pytest.raises(CorpusError, match=re.escape(f"{meta}: line ") + r"\d+: duplicate key 'H'"):
+    meta.write_text(meta.read_text() + "activation=tanh\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{meta}: line ")
+                       + r"\d+: duplicate key 'activation'"):
         load_model(bundle)
+
+
+@pytest.mark.parametrize("key", ["activation", "trained_epochs"])
+def test_load_model_requires_every_meta_key(tmp_path, key):
+    bundle = tmp_path / "bundle"
+    save_model(init_params(3, 6, seed=8), make_vocab(6), bundle)
+    meta = bundle / "meta.txt"
+    meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                            if not line.startswith(f"{key}=")))
+    with pytest.raises(ConfigError, match=re.escape(f"{meta}: missing key {key!r}")):
+        load_model(bundle)
+
+
+def test_bundle_with_older_shape_entries_loads_bit_equal(tmp_path, rng):
+    # bundles written before the matrix headers became the one record of a
+    # shape also hold H and K (a KB: E_dim and H_s); loading ignores them
+    params = init_params(3, 6, seed=8, init_scale=0.3)
+    params.alignments["s1"] = rng.normal(size=(3, 3))
+    params.trained_epochs = 4
+    lvt_matrix = rng.normal(size=(3, 6))
+    bundle = tmp_path / "bundle"
+    save_model(params, make_vocab(6), bundle, seed=5, lvt_matrix=lvt_matrix)
+    meta = bundle / "meta.txt"
+    meta.write_text("H=3\nK=6\n" + meta.read_text())
+    loaded, vocab, entries, lvt = load_model(bundle)
+    assert vocab == make_vocab(6)
+    assert (entries["H"], entries["seed"], loaded.trained_epochs) == ("3", "5", 4)
+    for name in ("W", "U", "b", "c"):
+        assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes()
+    assert loaded.alignments["s1"].tobytes() == params.alignments["s1"].tobytes()
+    assert lvt.tobytes() == lvt_matrix.tobytes()
+    kb = KnowledgeBase("s1", make_vocab(6), rng.normal(size=(2, 6)), rng.normal(size=(3, 6)))
+    save_kb(kb, tmp_path / "kb")
+    meta = tmp_path / "kb" / "meta.txt"
+    meta.write_text(meta.read_text().replace("source_id=s1\n", "source_id=s1\nE_dim=2\nH_s=3\n"))
+    again = load_kb(tmp_path / "kb")
+    assert again.embeddings.tobytes() == kb.embeddings.tobytes()
+    assert again.topics.tobytes() == kb.topics.tobytes()
 
 
 def test_loss_is_nonnegative(rng):

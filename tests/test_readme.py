@@ -1,15 +1,19 @@
 """The README's examples against the code: its experiment config parses, its
 mode list is the harness's, every ``topicxfer`` command line it shows is
 accepted by the CLI parser, its tokenizer example gives the tokens it states,
-and its library example runs."""
+its library example runs, and its bundle meta.txt keys are the ones written."""
 
 import re
 import shlex
 from pathlib import Path
 
+from conftest import make_vocab
 from topicxfer.cli import build_parser
 from topicxfer.corpus import tokenize
+from topicxfer.fileio import read_kv
 from topicxfer.harness import MODE_VIEWS, MODES, parse_config
+from topicxfer.model import init_params, save_model
+from topicxfer.transfer import build_kb, save_kb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,3 +78,15 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     # the context rebuilt from the saved bundle gives the trained context's number
     assert saved_ppl == trained_ppl
     assert (tmp_path / "model.mvt" / "lvt.mat").exists()
+
+
+def test_bundle_meta_keys_match_the_writers(tmp_path):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    model_keys, kb_keys = (
+        re.search(rf"\*\*{what}\*\*: [^(]*`meta.txt` \(([^)]*)\)", text).group(1).split(", ")
+        for what in ("Model bundle", "KB bundle"))
+    params = init_params(2, 3, seed=0)
+    save_model(params, make_vocab(3), tmp_path / "model")
+    save_kb(build_kb(params, make_vocab(3), "s"), tmp_path / "kb")
+    assert model_keys == list(read_kv(tmp_path / "model" / "meta.txt"))
+    assert kb_keys == list(read_kv(tmp_path / "kb" / "meta.txt"))

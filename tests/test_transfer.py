@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import make_vocab
+from conftest import looped_project_kb, make_vocab
 from topicxfer.corpus import Vocabulary
 from topicxfer.errors import ConfigError, CorpusError
+from topicxfer.fileio import write_matrix
 from topicxfer.model import ensure_alignments, init_params
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
                                 build_kb, gvt_gradients, gvt_penalty, load_kb,
@@ -48,8 +49,8 @@ def test_kb_bundle_roundtrip_is_bit_exact(tmp_path, rng):
 
 
 @pytest.mark.parametrize("key, culprit", [
-    ("E_dim", "E.mat"), ("H_s", "Z.mat"),
     ("source_id", "meta.txt: missing key 'source_id'"), ("vocab", "E.mat"),
+    ("Z-columns", "Z.mat: shape (4, 5), expected (any, 6)"),
     ("unlisted-E", "meta.txt: matrices does not list 'E'"),
     ("listed-file-missing", "Z.mat"),
     ("no-matrices", "meta.txt: missing key 'matrices'"),
@@ -69,8 +70,8 @@ def test_load_kb_rejects_meta_shape_mismatch(tmp_path, rng, key, culprit):
         (tmp_path / "kb" / culprit).unlink()
     elif key == "no-matrices":
         meta.write_text(meta.read_text().replace("matrices=E Z\n", ""))
-    else:
-        meta.write_text(meta.read_text().replace(f"{key}=4", f"{key}=5"))
+    elif key == "Z-columns":
+        write_matrix(tmp_path / "kb" / "Z.mat", rng.normal(size=(4, 5)))
     error = FileNotFoundError if key == "listed-file-missing" else ConfigError
     with pytest.raises(error, match=re.escape(culprit)):
         load_kb(tmp_path / "kb")
@@ -152,6 +153,27 @@ def test_project_half_overlap_matches_lookup_oracle(rng):
         else:
             assert np.all(proj.embeddings[:, w] == 0.0)
             assert np.all(proj.topics[:, w] == 0.0)
+
+
+@pytest.mark.parametrize("covered_share", [0.0, 0.75, 1.0])
+@pytest.mark.parametrize("with_topics", [True, False], ids=["E-and-Z", "E-only"])
+def test_project_is_bit_equal_to_the_loop(rng, covered_share, with_topics):
+    source = [f"w{i}" for i in range(40)]
+    kb = random_kb(rng, "s", 3, source)
+    kb.embeddings[:, ::7] = -0.0
+    if not with_topics:
+        kb = KnowledgeBase("s", kb.vocabulary, kb.embeddings)
+    n_in = int(covered_share * 24)
+    tokens = [*rng.permutation(source)[:n_in], *(f"x{i}" for i in range(24 - n_in))]
+    target = Vocabulary(rng.permutation(tokens).tolist())
+    got, want = project_kb(kb, target), looped_project_kb(kb, target)
+    assert got.coverage == want.coverage == n_in / 24
+    for name in ("embeddings", "topics", "covered"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # ----------------------------------------------------------------- lvt

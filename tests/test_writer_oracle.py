@@ -53,8 +53,6 @@ def _oracle_save_vocab(tokens, path):
 def _oracle_save_model(params, tokens, out_dir, seed=0, lvt_matrix=None):
     os.makedirs(out_dir, exist_ok=True)
     _oracle_write_kv(os.path.join(out_dir, "meta.txt"), [
-        ("H", params.n_topics),
-        ("K", params.vocab_size),
         ("activation", params.activation),
         ("seed", seed),
         ("trained_epochs", params.trained_epochs),
@@ -74,8 +72,6 @@ def _oracle_save_kb(kb, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _oracle_write_kv(os.path.join(out_dir, "meta.txt"), [
         ("source_id", kb.source_id),
-        ("E_dim", kb.embedding_dim),
-        ("H_s", kb.n_topics if kb.topics is not None else 0),
         ("matrices", "E" if kb.topics is None else "E Z"),
     ])
     _oracle_save_vocab(kb.vocabulary.tokens, os.path.join(out_dir, "vocab.txt"))
