@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: train, build-kb, import-embeddings, transfer-train, eval, topics,
-nn, synth, experiment.  --seed, --out and --config are available on every
-subcommand.  For ``experiment``, --config is the experiment file; for every
-other subcommand it points at a ``key = value`` file whose entries act as flag
-defaults (explicit flags win).  A missing file or a key the subcommand does not
-register is an error.
+nn, synth, experiment.  Each registers only the flags it reads: all but nn take
+--out; train, transfer-train, synth and experiment take --seed, and they and
+eval take --config.  For ``experiment``, --config is the experiment file; for
+the others it is a ``key = value`` file whose entries act as flag defaults
+(explicit flags win).  A missing file or a key the subcommand does not register
+is an error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import replace
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       all_topics, nearest_neighbors)
+                       all_topics, check_top_n, nearest_neighbors)
 from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings, write_lines
 from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluate_model,
                       load_target, parse_config, run_experiment, transfer_context)
@@ -33,7 +34,7 @@ SYNTH_KEYS = {"n_topics": "topics", "vocab_size": "vocab", "target_train_docs": 
 
 
 class _Options:
-    """Registers flags whose defaults can come from the --config file.
+    """Registers a subcommand's --config and the flags whose defaults it can give.
 
     A flag's config key is its argparse dest.  A boolean that defaults to
     False is a --KEY switch; one that defaults to True is a --no-KEY switch
@@ -43,8 +44,10 @@ class _Options:
     def __init__(self, parser):
         self.parser = parser
         self.casts = {}  # config key -> value parser
-        self.flags = {}  # config key -> flag
+        self.flags = {}  # dest -> flag
         self.loaded = {}  # config key -> the value the --config file gave
+        parser.add_argument("--config", default=None)
+        parser.set_defaults(options=self)
 
     def add(self, key, cast, default, flag=None):
         name = key.replace("_", "-")
@@ -60,13 +63,16 @@ class _Options:
         self.flags[key] = flag
 
     def add_fields(self, cls, keys):
-        """One flag per field of the dataclass cls except seed, which is the
-        common --seed; a (min, max) tuple field gets a KEY_min and a KEY_max flag."""
+        """One flag per field of the dataclass cls, and a KEY_min and a KEY_max
+        flag per (min, max) tuple field; seed's --seed is a flag but no config key."""
         for name, key, cast, default in settings(cls, keys):
             if isinstance(default, tuple):
                 self.add(f"{key}_min", int, default[0])
                 self.add(f"{key}_max", int, default[1])
-            elif name != "seed":
+            elif name == "seed":
+                self.parser.add_argument("--seed", type=int, default=default)
+                self.flags["seed"] = "--seed"
+            else:
                 self.add(key, cast, default)
 
     def load(self, path):
@@ -75,7 +81,7 @@ class _Options:
         for key, raw in read_kv(path, error=ConfigError).items():
             if key not in self.casts:
                 raise ConfigError(f"{path}: {self.parser.prog} has no config key {key!r}")
-            defaults[key] = parse_entry(path, key, raw, self.casts[key])
+            defaults[key] = parse_entry(f"{path}: {key}", raw, self.casts[key])
         self.parser.set_defaults(**defaults)
         self.loaded = defaults
 
@@ -95,27 +101,25 @@ def _from_args(cls, keys, args):
     config = cls()
     opt = args.options
     for name, key, _, default in settings(cls, keys):
-        if name == "seed":
-            value, origin = args.seed, "--seed"
-        elif isinstance(default, tuple):
+        if isinstance(default, tuple):
             value = (getattr(args, f"{key}_min"), getattr(args, f"{key}_max"))
             origin = ", ".join(opt.origin(args, f"{key}_{end}") for end in ("min", "max"))
         else:
             value, origin = getattr(args, key), opt.origin(args, key)
-        try:
-            config = replace(config, **{name: value})
-        except ConfigError as exc:
-            raise ConfigError(f"{origin}: {exc}") from None
+        config = parse_entry(origin, value, lambda v: replace(config, **{name: v}))
     return config
 
 
-def _add_train_flags(p, opt):
+def _add_train_flags(p):
+    opt = _Options(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--train", required=True)
     p.add_argument("--validation", default=None)
     opt.add_fields(TrainConfig, TRAIN_KEYS)
     opt.add("min_freq", int, 1)
     opt.add("max_vocab", int, None)
     opt.add("labeled", parse_bool, False)
+    return opt
 
 
 def _require_out(args):
@@ -148,17 +152,9 @@ def _cmd_train(args):
     return _train_and_save(args, config, *_load_target(args))
 
 
-def _check_source_id_flag(args):
-    """--source-id's rule, checked before any file is read; the error names the flag."""
-    try:
-        check_source_id(args.source_id)
-    except ConfigError as exc:
-        raise ConfigError(f"--source-id: {exc}") from None
-
-
 def _cmd_build_kb(args):
     _require_out(args)
-    _check_source_id_flag(args)
+    parse_entry("--source-id", args.source_id, check_source_id)  # before any file is read
     params, vocabulary, _, _ = load_model(args.model)
     kb = build_kb(params, vocabulary, args.source_id)
     save_kb(kb, args.out)
@@ -168,7 +164,7 @@ def _cmd_build_kb(args):
 
 def _cmd_import_embeddings(args):
     _require_out(args)
-    _check_source_id_flag(args)
+    parse_entry("--source-id", args.source_id, check_source_id)  # before any file is read
     kb = load_embeddings_text(args.embeddings, args.source_id)
     save_kb(kb, args.out)
     print(f"imported {len(kb.vocabulary)} word vectors "
@@ -183,10 +179,7 @@ def _parse_kb_flags(kb_args):
         source_id, sep, path = entry.partition("=")
         if not (sep and source_id):
             raise TopicxferError(f"--kb expects ID=DIR with a non-empty ID, got {entry!r}")
-        try:
-            sources.append((check_source_id(source_id), path))
-        except ConfigError as exc:
-            raise ConfigError(f"--kb {entry!r}: {exc}") from None
+        sources.append((parse_entry(f"--kb {entry!r}", source_id, check_source_id), path))
     return [load_kb(path, source_id) for source_id, path in sources]
 
 
@@ -208,6 +201,9 @@ def _cmd_transfer_train(args):
 
 def _cmd_eval(args):
     params, vocabulary, _, lvt = load_model(args.model)
+    # every topic lists --top-n words, which a smaller vocabulary cannot give
+    parse_entry(args.options.origin(args, "coherence_top_n"), args.coherence_top_n,
+                lambda n: check_top_n(n, len(vocabulary)))
     ctx = TransferContext(lvt) if lvt is not None else None
     report, _ = evaluate_model(
         params, vocabulary, ctx, args.test, args.reference or args.train or args.test,
@@ -273,35 +269,35 @@ def build_parser():
 
     def new_command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        opt = _Options(p)
-        p.set_defaults(fn=fn, options=opt)
-        p.add_argument("--seed", type=int, default=None if name == "experiment" else 0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
-        return p, opt
+        p.set_defaults(fn=fn, options=None)
+        return p
 
-    p, opt = new_command("train", _cmd_train, "train a model on one corpus")
-    _add_train_flags(p, opt)
+    p = new_command("train", _cmd_train, "train a model on one corpus")
+    _add_train_flags(p)
 
-    p, _ = new_command("build-kb", _cmd_build_kb, "export a trained model as a knowledge base")
+    p = new_command("build-kb", _cmd_build_kb, "export a trained model as a knowledge base")
+    p.add_argument("--out", default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--source-id", required=True)
 
-    p, _ = new_command("import-embeddings", _cmd_import_embeddings,
-                       "import external word vectors as an embedding-only KB")
+    p = new_command("import-embeddings", _cmd_import_embeddings,
+                    "import external word vectors as an embedding-only KB")
+    p.add_argument("--out", default=None)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--source-id", required=True)
 
-    p, opt = new_command("transfer-train", _cmd_transfer_train,
-                         "train with knowledge transfer from saved KBs")
-    _add_train_flags(p, opt)
+    p = new_command("transfer-train", _cmd_transfer_train,
+                    "train with knowledge transfer from saved KBs")
+    opt = _add_train_flags(p)
     p.add_argument("--kb", action="append", metavar="ID=DIR")
     p.add_argument("--mode", choices=tuple(MODE_VIEWS), default=DEFAULT_TRANSFER_MODE)
     opt.add("lam", float, 0.5)
     opt.add("gamma", float, 0.01)
     opt.add("gvt_mask_oov", parse_bool, False)
 
-    p, opt = new_command("eval", _cmd_eval, "evaluate a saved model bundle")
+    p = new_command("eval", _cmd_eval, "evaluate a saved model bundle")
+    opt = _Options(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--train", default=None, help="retrieval pool / default coherence reference")
@@ -311,21 +307,25 @@ def build_parser():
     opt.add("coherence_top_n", int, DEFAULT_TOP_N, flag="--top-n")
     opt.add("eval_fractions", parse_floats, list(DEFAULT_FRACTIONS), flag="--fractions")
 
-    p, _ = new_command("topics", _cmd_topics, "print each topic's top words")
+    p = new_command("topics", _cmd_topics, "print each topic's top words")
+    p.add_argument("--out", default=None)
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=10)
 
-    p, _ = new_command("nn", _cmd_nn, "print a word's nearest neighbors")
+    p = new_command("nn", _cmd_nn, "print a word's nearest neighbors")
     p.add_argument("--model", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, default=5)
 
-    p, opt = new_command("synth", _cmd_synth, "generate a synthetic source/target family")
-    opt.add_fields(SyntheticSpec, SYNTH_KEYS)
+    p = new_command("synth", _cmd_synth, "generate a synthetic source/target family")
+    p.add_argument("--out", default=None)
+    _Options(p).add_fields(SyntheticSpec, SYNTH_KEYS)
 
-    p, _ = new_command("experiment", _cmd_experiment, "run a full experiment from a config file")
+    p = new_command("experiment", _cmd_experiment, "run a full experiment from a config file")
     # its --config is the experiment file, which parse_config reads and checks
-    p.set_defaults(options=None)
+    p.add_argument("--config", default=None)
+    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
+    p.add_argument("--out", default=None, help="overrides the config's out")
 
     return parser
 

@@ -242,12 +242,18 @@ def read_raw_file(path, labeled=False):
 
 def load_corpus_file(path, vocabulary=None, labeled=False, split="train",
                      min_freq=1, max_vocab=None, label_names=None):
-    """Load a corpus file, building a vocabulary unless one is supplied."""
+    """Load a corpus file, building a vocabulary unless one is supplied.
+
+    A file none of whose documents holds a vocabulary word is a CorpusError.
+    """
     raw_docs, labels = read_raw_file(path, labeled=labeled)
     if vocabulary is None:
         vocabulary = build_vocabulary(raw_docs, min_freq=min_freq, max_vocab=max_vocab)
-    return encode_corpus(raw_docs, labels, vocabulary, split=split,
-                         label_names=label_names)
+    corpus = encode_corpus(raw_docs, labels, vocabulary, split=split,
+                           label_names=label_names)
+    if not corpus.documents:
+        raise CorpusError(f"{path}: no document holds a word of the vocabulary")
+    return corpus
 
 
 def write_corpus_file(corpus, path):

@@ -90,9 +90,12 @@ def check_window(window):
         raise ConfigError("window must be >= 2")
 
 
-def check_top_n(top_n):
+def check_top_n(top_n, vocab_size=None):
+    """top_n's rule; with vocab_size given, each topic must also have top_n words."""
     if top_n < 2:
         raise ConfigError("top_n must be >= 2")
+    if vocab_size is not None and top_n > vocab_size:
+        raise ConfigError(f"top_n must be <= the vocabulary size {vocab_size}")
 
 
 def check_fractions(fractions):

@@ -9,11 +9,12 @@ space-separated decimals printed with 17 significant digits.
 import contextlib
 import itertools
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError, CorpusError, TopicxferError
 
 
 def format_float(x):
@@ -69,10 +70,13 @@ def read_matrix(path, shape=None):
             raise CorpusError(f"{path}: malformed matrix header") from None
         if rows and cols:
             # one C-level parse of the declared rows, read line by line; it
-            # gives float()'s value for every decimal the writer prints
+            # gives float()'s value for every decimal the writer prints; rows that
+            # are all blank are the row-count error below, not numpy's warning
             try:
-                mat = np.loadtxt(itertools.islice(fh, rows), dtype=np.float64,
-                                 comments=None, ndmin=2)
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    mat = np.loadtxt(itertools.islice(fh, rows), dtype=np.float64,
+                                     comments=None, ndmin=2)
             except ValueError as exc:
                 # numpy's message ends in a hint about usecols, which does not apply
                 raise CorpusError(f"{path}: {str(exc).partition(';')[0]}") from None
@@ -117,15 +121,15 @@ def read_kv(path, error=CorpusError):
     return out
 
 
-def parse_entry(path, key, raw, cast):
-    """cast(raw) for the entry ``key`` of the ``key = value`` file ``path``.
+def parse_entry(origin, raw, cast):
+    """cast(raw), where origin names where raw came from (a flag, or a file and key).
 
-    A value cast rejects raises a one-line ConfigError naming the file and key.
+    A value cast rejects raises the one-line ConfigError ``<origin>: <message>``.
     """
     try:
         return cast(raw)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: {key}: {exc}") from None
+    except (ValueError, TopicxferError) as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
 
 
 def write_bundle(out_dir, meta, vocabulary, matrices):
@@ -164,7 +168,7 @@ class BundleReader:
         """cast(value) of meta.txt's key, which is required; errors name the file and key."""
         if key not in self.meta:
             raise ConfigError(f"{self.meta_path}: missing key {key!r}")
-        return parse_entry(self.meta_path, key, self.meta[key], cast)
+        return parse_entry(f"{self.meta_path}: {key}", self.meta[key], cast)
 
     def matrix(self, name, shape=None):
         """NAME.mat, a listed member; a shape other than a given one is a

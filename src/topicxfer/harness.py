@@ -50,10 +50,7 @@ def check_settings(values, origin=str):
     """Check each {key: value} that has a SETTING_CHECKS rule; an error names origin(key)."""
     for key, check in SETTING_CHECKS.items():
         if key in values:
-            try:
-                check(values[key])
-            except TopicxferError as exc:
-                raise ConfigError(f"{origin(key)}: {exc}") from None
+            parse_entry(origin(key), values[key], check)
 
 
 @dataclass
@@ -130,7 +127,7 @@ def parse_config(path):
             if len(parts) != 3:
                 raise ConfigError(f"{path}: malformed source key {key!r}")
             _, sid, attr = parts
-            parse_entry(path, key, sid, check_source_id)
+            parse_entry(f"{path}: {key}", sid, check_source_id)
             sources.setdefault(sid, {})[attr] = value
         else:
             plain[key] = value
@@ -139,7 +136,7 @@ def parse_config(path):
     for name, key, cast, _ in settings(TrainConfig, TRAIN_KEYS):
         if key in plain:
             # replace() reruns TrainConfig's checks, so a range error names its key
-            train_config = parse_entry(path, key, plain.pop(key),
+            train_config = parse_entry(f"{path}: {key}", plain.pop(key),
                                        lambda raw: replace(train_config, **{name: cast(raw)}))
 
     known = {key: (name, cast) for name, key, cast, _ in
@@ -149,7 +146,7 @@ def parse_config(path):
         if key not in known:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         name, cast = known[key]
-        values[name] = parse_entry(path, key, value, cast)
+        values[name] = parse_entry(f"{path}: {key}", value, cast)
     for required in ("mode", "target.train", "target.test", "out"):
         if known[required][0] not in values:
             raise ConfigError(f"{path}: missing required key {required!r}")
@@ -160,7 +157,7 @@ def parse_config(path):
         unknown = set(attrs) - {"corpus", "kb", "lambda", "gamma"}
         if unknown:
             raise ConfigError(f"{path}: unknown source key(s) {sorted(unknown)} for {sid!r}")
-        weights = {attr: parse_entry(path, f"source.{sid}.{attr}", attrs[attr], float)
+        weights = {attr: parse_entry(f"{path}: source.{sid}.{attr}", attrs[attr], float)
                    for attr in ("lambda", "gamma") if attr in attrs}
         source_kwargs[sid] = dict(corpus_path=attrs.get("corpus"), kb_path=attrs.get("kb"),
                                   lam_override=weights.get("lambda"),
@@ -412,10 +409,13 @@ def run_experiment(config):
                 config.target_train, config.target_validation, config.labeled,
                 config.min_freq, config.max_vocab)
         audit.append(("train", "target_train", len(train_corpus)))
+    vocabulary = train_corpus.vocabulary
+    # every topic lists coherence_top_n words; checked before any KB or model is trained
+    parse_entry("coherence_top_n", config.coherence_top_n,
+                lambda n: check_top_n(n, len(vocabulary)))
     if candidates:
         kbs = _prepare_kbs(config, config.out_dir, audit)
     audit.append(("train", "total", len(train_corpus)))
-    vocabulary = train_corpus.vocabulary
 
     if candidates:
         with _stage("grid search"):

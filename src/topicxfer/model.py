@@ -87,14 +87,20 @@ class ModelParams:
                 f"inconsistent parameter shapes: W {self.W.shape}, U {self.U.shape}, "
                 f"b {self.b.shape}, c {self.c.shape}"
             )
-        for source_id, A in self.alignments.items():
-            if A.shape != (h, h):
-                raise ConfigError(f"alignment {source_id!r}: shape {A.shape}, "
-                                  f"expected {(h, h)} for W of shape {self.W.shape}")
+        self.check_alignments()
         for arr in (self.W, self.U, self.b, self.c, *self.alignments.values()):
             if not np.isfinite(arr).all():
                 raise NumericalError("non-finite model parameter")
         _act_code(self.activation)
+
+    def check_alignments(self):
+        """Each alignment must be H x H; alignments is a dict that callers may
+        fill after the params are built, so save_model checks it again."""
+        h = self.n_topics
+        for source_id, A in self.alignments.items():
+            if A.shape != (h, h):
+                raise ConfigError(f"alignment {source_id!r}: shape {A.shape}, "
+                                  f"expected {(h, h)} for W of shape {self.W.shape}")
 
     @property
     def n_topics(self):
@@ -344,6 +350,7 @@ def train(corpus, config, ctx=None, validation=None):
 def save_model(params, vocabulary, out_dir, seed=0, lvt_matrix=None):
     """Persist a model bundle: meta.txt, vocab.txt, W/U/b/c matrices, alignments
     and the lvt matrix if given (fileio.write_bundle)."""
+    params.check_alignments()  # before write_bundle removes the old bundle's meta.txt
     meta = [("activation", params.activation), ("seed", seed),
             ("trained_epochs", params.trained_epochs)]
     matrices = {"W": params.W, "U": params.U, "b": params.b, "c": params.c}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from topicxfer import kernels
+from topicxfer.cli import build_parser
 from topicxfer.corpus import Document, Vocabulary
 from topicxfer.transfer import ProjectedKB
 
@@ -13,6 +14,13 @@ def rng():
 
 def make_vocab(k):
     return Vocabulary([f"w{i}" for i in range(k)])
+
+
+def command_flags():
+    """{subcommand: the set of its option strings} of the CLI parser, without -h/--help."""
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    return {name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, p in commands.choices.items()}
 
 
 def random_doc(rng, k, d):

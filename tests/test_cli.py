@@ -1,6 +1,9 @@
 import pytest
 
-from topicxfer.cli import main
+from conftest import command_flags
+from topicxfer import cli, harness
+from topicxfer.cli import build_parser, main
+from topicxfer.corpus import load_corpus_file
 from topicxfer.evaluate import EvalReport
 from topicxfer.transfer import load_embeddings_text, save_kb
 
@@ -508,3 +511,152 @@ def test_eval_restores_lvt_from_bundle(tmp_path, family, capsys):
     ctx = make_transfer_context([load_kb(kb)], vocab, spec, 3)
     test = load_corpus_file(family / "test.txt", vocabulary=vocab, labeled=True)
     assert report.ppl == pytest.approx(perplexity(params, test, ctx), rel=1e-12)
+
+
+TRAIN_FLAGS = {"--config", "--out", "--seed", "--train", "--validation", "--activation",
+               "--epochs", "--init-scale", "--labeled", "--learning-rate", "--max-vocab",
+               "--min-freq", "--no-shuffle-docs", "--no-shuffle-words", "--patience",
+               "--topics"}
+
+
+def test_each_command_registers_exactly_the_flags_it_reads():
+    assert command_flags() == {
+        "train": TRAIN_FLAGS,
+        "build-kb": {"--model", "--out", "--source-id"},
+        "import-embeddings": {"--embeddings", "--out", "--source-id"},
+        "transfer-train": TRAIN_FLAGS | {"--gamma", "--gvt-mask-oov", "--kb", "--lam", "--mode"},
+        "eval": {"--config", "--fractions", "--labeled", "--model", "--out", "--reference",
+                 "--test", "--top-n", "--train", "--window"},
+        "topics": {"--model", "--n", "--out"},
+        "nn": {"--model", "--n", "--word"},
+        "synth": {"--config", "--mixture-concentration", "--out", "--overlap", "--seed",
+                  "--source-docs", "--source-len-max", "--source-len-min", "--target-docs",
+                  "--target-len-max", "--target-len-min", "--target-test-docs",
+                  "--target-validation-docs", "--topics", "--vocab", "--word-concentration"},
+        "experiment": {"--config", "--out", "--seed"},
+    }
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["build-kb", "--model", "m", "--source-id", "s", "--out", "o"], "--seed"),
+    (["build-kb", "--model", "m", "--source-id", "s", "--out", "o"], "--config"),
+    (["import-embeddings", "--embeddings", "e", "--source-id", "s", "--out", "o"], "--seed"),
+    (["import-embeddings", "--embeddings", "e", "--source-id", "s", "--out", "o"], "--config"),
+    (["topics", "--model", "m"], "--seed"),
+    (["topics", "--model", "m"], "--config"),
+    (["eval", "--model", "m", "--test", "t"], "--seed"),
+    (["nn", "--model", "m", "--word", "w"], "--seed"),
+    (["nn", "--model", "m", "--word", "w"], "--config"),
+    (["nn", "--model", "m", "--word", "w"], "--out"),
+], ids=["build-kb-seed", "build-kb-config", "import-embeddings-seed",
+        "import-embeddings-config", "topics-seed", "topics-config", "eval-seed", "nn-seed",
+        "nn-config", "nn-out"])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv, flag):
+    assert main([*argv, flag, "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: topicxfer ")
+    assert err.endswith(f"\ntopicxfer: error: unrecognized arguments: {flag} 1\n")
+
+
+@pytest.mark.parametrize("argv", [["train", "--train", "t"], ["transfer-train", "--train", "t"],
+                                  ["synth"]], ids=["train", "transfer-train", "synth"])
+def test_seed_defaults_to_the_dataclass_default(argv):
+    assert build_parser().parse_args(argv).seed == 0
+
+
+def test_experiment_seed_overrides_the_config_seed(tmp_path, family):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = baseline\ntarget.train = {family / 'train.txt'}\n"
+                   f"target.test = {family / 'test.txt'}\nout = {tmp_path / 'out'}\n"
+                   "epochs = 1\ntopics = 2\nseed = 100\n")
+    assert build_parser().parse_args(["experiment", "--config", str(cfg)]).seed is None
+    assert main(["experiment", "--config", str(cfg), "--seed", "5"]) == 0
+    assert "seed=5" in (tmp_path / "out" / "model" / "meta.txt").read_text().splitlines()
+
+
+def _never_train(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+OOV_DOC = "zzz-never qqq-nowhere\n"
+
+
+def test_eval_pool_without_a_vocabulary_word_names_the_file(tmp_path, family, capsys):
+    model = train_small(tmp_path, family)
+    pool = tmp_path / "pool.txt"
+    pool.write_text(f"t0\t{OOV_DOC}")
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model), "--test", str(family / "test.txt"),
+               "--train", str(pool), "--labeled"])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {pool}: no document holds a word of the vocabulary"
+
+
+def test_zero_shot_target_without_a_source_word_names_the_file(tmp_path, family, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text(f"t0\t{OOV_DOC}t1\t{OOV_DOC}")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = zero-shot\ntarget.train = {train}\n"
+                   f"target.test = {family / 'test.txt'}\nout = {tmp_path / 'out'}\n"
+                   f"source.s1.corpus = {family / 'source.txt'}\nepochs = 1\ntopics = 2\n")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: evaluating: {train}: no document holds a word of the vocabulary"
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_validation_without_a_vocabulary_word_fails_before_training(tmp_path, family, capsys,
+                                                                     monkeypatch, command):
+    monkeypatch.setattr(cli, "train", _never_train)
+    monkeypatch.setattr(harness, "train", _never_train)
+    validation = tmp_path / "validation.txt"
+    validation.write_text(f"t0\t{OOV_DOC}")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--train", str(family / "train.txt"), "--validation", str(validation),
+                "--labeled", "--out", str(out)]
+        where = ""
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"mode = baseline\ntarget.train = {family / 'train.txt'}\n"
+                       f"target.validation = {validation}\n"
+                       f"target.test = {family / 'test.txt'}\nout = {out}\n")
+        argv = ["experiment", "--config", str(cfg)]
+        where = "loading target corpora: "
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: {where}{validation}: no document holds a word of the vocabulary"
+
+
+def test_experiment_top_n_above_the_vocabulary_fails_before_any_training(tmp_path, family,
+                                                                          capsys, monkeypatch):
+    monkeypatch.setattr(harness, "train", _never_train)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = mvt\ntarget.train = {family / 'train.txt'}\n"
+                   f"target.validation = {family / 'validation.txt'}\n"
+                   f"target.test = {family / 'test.txt'}\nout = {out}\n"
+                   f"source.s1.corpus = {family / 'source.txt'}\ncoherence_top_n = 50\n")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    k = len(load_corpus_file(family / "train.txt", labeled=True).vocabulary)
+    assert capsys.readouterr().err.strip() == (
+        f"error: coherence_top_n: top_n must be <= the vocabulary size {k}")
+    assert list(out.iterdir()) == []  # no kb.s1 and no model
+
+
+@pytest.mark.parametrize("origin", ["flag", "config"])
+def test_eval_top_n_above_the_vocabulary_fails_before_perplexity(tmp_path, family, capsys,
+                                                                  origin):
+    model = train_small(tmp_path, family)
+    k = len((model / "vocab.txt").read_text().splitlines())
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"coherence_top_n = {k + 1}\n")
+    given = ["--top-n", str(k + 1)] if origin == "flag" else ["--config", str(cfg)]
+    capsys.readouterr()
+    # the test file does not exist, so only a check made before perplexity gives the error
+    rc = main(["eval", "--model", str(model), "--test", str(tmp_path / "missing.txt"), *given])
+    assert rc == 1
+    where = "--top-n" if origin == "flag" else f"{cfg}: coherence_top_n"
+    assert capsys.readouterr().err.strip() == (
+        f"error: {where}: top_n must be <= the vocabulary size {k}")

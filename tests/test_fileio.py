@@ -70,6 +70,7 @@ def test_read_matrix_allows_trailing_blank_lines(tmp_path):
     ("2 3\n1 2 3\n", "3 values in 1 rows, expected 2 rows of 3"),
     ("2 3\n1 2 3\n\n4 5 6\n", "3 values in 1 rows, expected 2 rows of 3"),
     ("2 3\n\n\n", "0 values in 0 rows, expected 2 rows of 3"),
+    ("1 3\n  \n", "0 values in 0 rows, expected 1 rows of 3"),
     ("2 3\n1 2 3\n4 5\n", "the number of columns changed from 3 to 2"),
     ("2 3\n1 2 3\n4 5 6 7\n", "the number of columns changed from 3 to 4"),
     ("1 3\n1 2 3 4\n", "4 values in 1 rows, expected 1 rows of 3"),
@@ -81,11 +82,11 @@ def test_read_matrix_allows_trailing_blank_lines(tmp_path):
     ("1 3\n1 1e400 3\n", "matrix contains non-finite values"),
     ("0 3\n1 2 3\n", "data after the 0 declared rows"),
 ], ids=["word-header", "float-header", "negative-rows", "negative-cols", "one-number-header",
-        "empty-file", "missing-row", "blank-between-rows", "blank-rows", "short-row",
-        "long-row", "long-rows", "non-numeric", "comment", "underscore", "nan", "inf",
+        "empty-file", "missing-row", "blank-between-rows", "blank-rows", "blank-row",
+        "short-row", "long-row", "long-rows", "non-numeric", "comment", "underscore", "nan", "inf",
         "overflow", "data-after-no-rows"])
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 def test_read_matrix_rejects_malformed_files(tmp_path, text, message):
+    # the suite turns warnings into errors, so a case numpy warns on fails here
     path = tmp_path / "m.mat"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorpusError) as err:

@@ -75,6 +75,21 @@ def test_model_params_rejects_alignment_that_is_not_h_by_h(shape):
     assert len(str(err.value).splitlines()) == 1
 
 
+def test_save_model_refuses_an_alignment_added_after_construction(tmp_path):
+    # alignments is a plain dict, so a wrong shape can enter after ModelParams checked it
+    bundle = tmp_path / "m"
+    params = init_params(3, 4, seed=0)
+    save_model(params, make_vocab(4), bundle)
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    params.alignments["s"] = np.eye(2)
+    with pytest.raises(ConfigError, match=re.escape(
+            "alignment 's': shape (2, 2), expected (3, 3) for W of shape (3, 4)")):
+        save_model(params, make_vocab(4), bundle)
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+    loaded, _, _, _ = load_model(bundle)
+    assert np.array_equal(loaded.W, params.W) and loaded.alignments == {}
+
+
 # ----------------------------------------------------------------- forward / loss
 
 def test_single_word_uniform_logprob():

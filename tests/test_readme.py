@@ -1,13 +1,14 @@
 """The README's examples against the code: its experiment config parses, its
 mode list is the harness's, every ``topicxfer`` command line it shows is
-accepted by the CLI parser, its tokenizer example gives the tokens it states,
-its library example runs, and its bundle meta.txt keys are the ones written."""
+accepted by the CLI parser, the commands it says take --config, --seed and
+--out are the parser's, its tokenizer example gives the tokens it states, its
+library example runs, and its bundle meta.txt keys are the ones written."""
 
 import re
 import shlex
 from pathlib import Path
 
-from conftest import make_vocab
+from conftest import command_flags, make_vocab
 from topicxfer.cli import build_parser
 from topicxfer.corpus import tokenize
 from topicxfer.fileio import read_kv
@@ -62,6 +63,17 @@ def test_command_lines_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_commands_taking_config_seed_and_out_match_the_parser():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    config, seed, not_out = (re.findall(r"`([a-z-]+)`", part) for part in re.search(
+        r"`--config FILE` is taken by (.*?); `--seed` by (.*?); `--out` by every "
+        r"subcommand but (.*?)\.", text).groups())
+    flags = command_flags()
+    assert set(config) == {name for name, f in flags.items() if "--config" in f}
+    assert set(seed) == {name for name, f in flags.items() if "--seed" in f}
+    assert set(not_out) == {name for name, f in flags.items() if "--out" not in f}
 
 
 def test_tokenizer_example():
