@@ -22,7 +22,8 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        all_topics, check_top_n, nearest_neighbors)
 from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings, write_lines
 from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluate_model,
-                      load_target, parse_config, run_experiment, transfer_context)
+                      load_eval_corpora, load_target, parse_config, run_experiment,
+                      transfer_context)
 from .model import TRAIN_KEYS, TrainConfig, load_model, save_model, train
 from .synthetic import SyntheticSpec, generate_synthetic
 from .transfer import (TransferContext, build_kb, check_source_id, load_embeddings_text, load_kb,
@@ -205,10 +206,11 @@ def _cmd_eval(args):
     parse_entry(args.options.origin(args, "coherence_top_n"), args.coherence_top_n,
                 lambda n: check_top_n(n, len(vocabulary)))
     ctx = TransferContext(lvt) if lvt is not None else None
-    report, _ = evaluate_model(
-        params, vocabulary, ctx, args.test, args.reference or args.train or args.test,
-        args.train, args.labeled, args.eval_fractions, args.coherence_window,
-        args.coherence_top_n)
+    test, reference, pool, _ = load_eval_corpora(
+        vocabulary, args.test, args.reference or args.train or args.test, args.train,
+        args.labeled)
+    report = evaluate_model(params, vocabulary, ctx, test, reference, pool,
+                            args.eval_fractions, args.coherence_window, args.coherence_top_n)
     sys.stdout.write(report.to_text())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -269,7 +271,7 @@ def build_parser():
 
     def new_command(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn, options=None)
+        p.set_defaults(fn=fn, options=None, command_parser=p)
         return p
 
     p = new_command("train", _cmd_train, "train a model on one corpus")
@@ -330,11 +332,20 @@ def build_parser():
     return parser
 
 
+def _parse(parser, argv):
+    """parser.parse_args(argv), except that an argument the subcommand does not
+    take is reported with the subcommand's usage, not the top-level one."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -342,7 +353,7 @@ def main(argv=None):
             if args.config:
                 args.options.load(args.config)
                 # parse again so the file's values become defaults and explicit flags win
-                args = parser.parse_args(argv)
+                args = _parse(parser, argv)
             # a rejected value names its flag or --config entry, before any file is read
             check_settings({key: getattr(args, key) for key in args.options.casts},
                            lambda key: args.options.origin(args, key))

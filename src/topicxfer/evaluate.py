@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, CorpusError
 from .fileio import format_float, write_lines
-from .model import document_vector, forward, word_rows
+from .model import document_vector, forward, helper_thread, word_rows
 
 log = logging.getLogger(__name__)
 
@@ -107,12 +107,28 @@ def check_fractions(fractions):
 
 
 def perplexity(params, corpus, ctx=None):
-    """Average held-out perplexity per word: exp(-mean_t log p(v_t) / |v_t|)."""
+    """Average held-out perplexity per word: exp(-mean_t log p(v_t) / |v_t|).
+
+    With model.helper_thread's helper, it scores the second half of the
+    documents while this thread scores the first; each document's score is
+    the same either way, and an error is the one sequential order raises.
+    """
     if len(corpus) == 0:
         raise CorpusError("cannot evaluate perplexity on an empty corpus")
-    per_doc = np.empty(len(corpus))
-    for t, doc in enumerate(corpus):
-        per_doc[t] = forward(doc, params, ctx).sum() / len(doc)
+    docs = corpus.documents
+    n = len(docs)
+    per_doc = np.empty(n)
+
+    def score(lo, hi):
+        for t in range(lo, hi):
+            per_doc[t] = forward(docs[t], params, ctx).sum() / len(docs[t])
+
+    with helper_thread(*params.W.shape) as helper:
+        half = n if helper is None else (n + 1) // 2
+        second = helper.submit(score, half, n) if half < n else None
+        score(0, half)
+    if second is not None:
+        second.result()
     return float(np.exp(-per_doc.mean()))
 
 

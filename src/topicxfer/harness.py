@@ -272,32 +272,39 @@ def load_target(train_path, validation_path, labeled, min_freq=1, max_vocab=None
     return train_corpus, validation
 
 
-def evaluate_model(params, vocabulary, ctx, test_path, reference_path, pool_path,
-                   labeled, fractions=DEFAULT_FRACTIONS, window=DEFAULT_WINDOW,
-                   top_n=DEFAULT_TOP_N):
-    """Score a model: test perplexity, topic coherence over the reference
-    corpus and, for labeled data with a pool, retrieval of the test documents
-    from the pool.
-
-    Returns (report without fingerprint, ingestion audit rows of the corpora read).
-    """
-    audit = []
+def load_eval_corpora(vocabulary, test_path, reference_path, pool_path, labeled, pool=None):
+    """The corpora evaluate_model scores: (test, coherence reference, retrieval
+    pool or None, ingestion audit rows).  The test split and the pool are
+    encoded on the model's vocabulary; there is no pool without labels.  A
+    pool given is pool_path already read on that vocabulary, so it is not
+    read again."""
     test = corpuslib.load_corpus_file(test_path, vocabulary=vocabulary,
                                       labeled=labeled, split="test")
-    audit.append(("eval", "target_test", len(test)))
-    ppl = perplexity(params, test, ctx)
-
     reference = corpuslib.load_corpus_file(reference_path, labeled=labeled)
-    audit.append(("eval", "coherence_reference", len(reference)))
+    audit = [("eval", "target_test", len(test)), ("eval", "coherence_reference", len(reference))]
+    if not labeled or pool_path is None:
+        pool = None
+    else:
+        if pool is None:
+            pool = corpuslib.load_corpus_file(pool_path, vocabulary=vocabulary, labeled=True)
+        audit.append(("eval", "retrieval_pool", len(pool)))
+    return test, reference, pool, audit
+
+
+def evaluate_model(params, vocabulary, ctx, test, reference, pool,
+                   fractions=DEFAULT_FRACTIONS, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
+    """Score a model: test perplexity, topic coherence over the reference
+    corpus and, with a pool, retrieval of the test documents from the pool.
+
+    Returns the report without its fingerprint.
+    """
+    ppl = perplexity(params, test, ctx)
     topics = all_topics(params, vocabulary, top_n)
     coh = coherence(topics, reference, window=window, top_n=top_n)
-
     ir = []
-    if labeled and pool_path is not None:
-        pool = corpuslib.load_corpus_file(pool_path, vocabulary=vocabulary, labeled=True)
-        audit.append(("eval", "retrieval_pool", len(pool)))
+    if pool is not None:
         ir = retrieval_precision(pool, test, model_vector_fn(params, ctx), fractions)
-    return EvalReport(ppl, coh, ir), audit
+    return EvalReport(ppl, coh, ir)
 
 
 def _prepare_kbs(config, out_dir, audit):
@@ -413,6 +420,13 @@ def run_experiment(config):
     # every topic lists coherence_top_n words; checked before any KB or model is trained
     parse_entry("coherence_top_n", config.coherence_top_n,
                 lambda n: check_top_n(n, len(vocabulary)))
+    # and every corpus the evaluation scores is read before then too
+    with _stage("loading evaluation corpora"):
+        # outside the union modes the pool is target.train on its own vocabulary
+        test, reference, pool, eval_audit = load_eval_corpora(
+            vocabulary, config.target_test, config.coherence_reference or config.target_train,
+            config.target_train, config.labeled,
+            pool=None if config.mode in UNION_MODES else train_corpus)
     if candidates:
         kbs = _prepare_kbs(config, config.out_dir, audit)
     audit.append(("train", "total", len(train_corpus)))
@@ -427,11 +441,9 @@ def run_experiment(config):
             params, stats = train(train_corpus, config.train, None, validation)
 
     with _stage("evaluating"):
-        report, eval_audit = evaluate_model(
-            params, vocabulary, ctx, config.target_test,
-            config.coherence_reference or config.target_train, config.target_train,
-            config.labeled, config.eval_fractions, config.coherence_window,
-            config.coherence_top_n)
+        report = evaluate_model(params, vocabulary, ctx, test, reference, pool,
+                                config.eval_fractions, config.coherence_window,
+                                config.coherence_top_n)
     audit.extend(eval_audit)
     report.fingerprint = _fingerprint(config, ctx)
 

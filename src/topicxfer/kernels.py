@@ -24,7 +24,9 @@ bits depend on these operations, and only these, being kept as they are:
   block, and the caller's sum of logps (numpy's pairwise blocking depends on
   the length);
 - the three BLAS GEMMs U @ hid, dlogits @ hid.T and U.T @ dlogits, with
-  these operand layouts (their bits also depend on the BLAS thread count);
+  these operand layouts (their bits also depend on the BLAS thread count,
+  but not on which thread calls them: at a fixed count, a GEMM run on a
+  helper thread gives the bits it gives on the main thread);
 - model.document_vector's sum over positions: sequential, in sorted-index
   order.  Summing the gathered rows of a contiguous W^T over axis 0 keeps
   it; a C-ordered gather of W's columns such as W.take(o, axis=1) breaks it.
@@ -61,6 +63,11 @@ window_counts(doc, n_tracked, p1, p2, window)
     with n_tracked.
 """
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 
 ACT_SIGMOID = 0
@@ -73,6 +80,32 @@ EMPTY_LVT = np.zeros((0, 0))
 
 # size cap of window_counts' per-block temporaries
 _BLOCK_BYTES = 1 << 20
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None."""
+    libdir = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs")
+    for lib in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(handle, symbol):
+                getter = getattr(handle, symbol)
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def blas_threads():
+    """The number of threads the BLAS numpy calls runs a GEMM on, or None when
+    it cannot be read (numpy not linked against its bundled OpenBLAS)."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
 
 
 def _activate(pre, act):

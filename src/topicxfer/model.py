@@ -10,7 +10,10 @@ penalty on W toward source topic rows (global view).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,19 +202,66 @@ def loss(doc, params, ctx=None):
     return value
 
 
-def _doc_step(params, ctx, words, lvt, use_lvt, act):
+# the H * K from which two GEMM-bound pieces of work, one on the helper
+# thread, finish sooner than one thread running both (measured at one BLAS
+# thread; CHANGES.md has the table)
+HELPER_MIN_SIZE = 25_000
+
+
+def use_helper(n_topics, vocab_size):
+    """Whether an H x K model's training step and perplexity run two pieces of
+    BLAS work at once, one on a helper thread: only when BLAS is known to run
+    one thread, this process may use at least 2 CPUs, and H * K is at least
+    HELPER_MIN_SIZE.  Each GEMM keeps its operands and its one BLAS thread,
+    so the bits are those of the sequential path."""
+    if n_topics * vocab_size < HELPER_MIN_SIZE or kernels.blas_threads() != 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2
+
+
+@contextlib.contextmanager
+def helper_thread(n_topics, vocab_size):
+    """A one-thread executor for the block when use_helper says so, else None.
+
+    Leaving the block waits for the work submitted to it, also when the block
+    raises, and ends the thread.
+    """
+    if not use_helper(n_topics, vocab_size):
+        yield None
+        return
+    with futures.ThreadPoolExecutor(1, thread_name_prefix="topicxfer-helper") as helper:
+        yield helper
+
+
+def _doc_step(params, ctx, words, lvt, use_lvt, act, helper=None):
     """Loss and gradients of one document: the step train() and gradients() share.
 
     Returns (loss, dw_cols, dU, db, dc, gvt).  dw_cols[q] is the gradient of
     the W column of words[q]; gvt is (dW, {source_id: dA}) of the alignment
-    penalty, which loss includes, or None without global transfer.
+    penalty, which loss includes, or None without global transfer.  With a
+    helper executor (from helper_thread), the penalty's gradients run on it
+    while doc_grads runs here; an error is raised in sequential order,
+    doc_grads' first.
     """
+    def gvt_args():
+        # this thread allocates the arrays: memory the helper allocated would
+        # stay in its own malloc arena
+        return params.W, ctx, params.alignments, transfer.gvt_buffers(params.W, ctx)
+
+    gvt_on = ctx is not None and ctx.gvt_weights
+    pending = None
+    if gvt_on and helper is not None:
+        pending = helper.submit(transfer.gvt_gradients, *gvt_args())
     logps, dw_cols, dU, db, dc = kernels.doc_grads(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     doc_loss = -np.add.reduce(logps)
     gvt = None
-    if ctx is not None and ctx.gvt_weights:
-        penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, alignments=params.alignments)
+    if gvt_on:
+        if pending is None:
+            penalty, dW, dA = transfer.gvt_gradients(*gvt_args())
+        else:
+            penalty, dW, dA = pending.result()
         doc_loss += penalty
         gvt = (dW, dA)
     return doc_loss, dw_cols, dU, db, dc, gvt
@@ -289,37 +339,40 @@ def train(corpus, config, ctx=None, validation=None):
     for epoch in range(config.epochs):
         order = rng.permutation(len(corpus)) if config.shuffle_docs else np.arange(len(corpus))
         total_loss = 0.0
-        for di in order:
-            words = corpus.documents[di].words
-            if config.shuffle_words:
-                # the draws and the result of words[rng.permutation(words.size)]
-                words = words.copy()
-                rng.shuffle(words)
-            doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(
-                params, ctx, words, lvt, lvt_on, act)
-            if not math.isfinite(doc_loss):
-                raise NumericalError(
-                    f"training diverged: non-finite loss at epoch {epoch}, document {di}")
-            total_loss += doc_loss
+        # the alignment-penalty gradients run beside doc_grads on a helper thread
+        with (helper_thread(*params.W.shape) if gvt_on
+              else contextlib.nullcontext()) as helper:
+            for di in order:
+                words = corpus.documents[di].words
+                if config.shuffle_words:
+                    # the draws and the result of words[rng.permutation(words.size)]
+                    words = words.copy()
+                    rng.shuffle(words)
+                doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(
+                    params, ctx, words, lvt, lvt_on, act, helper)
+                if not math.isfinite(doc_loss):
+                    raise NumericalError(
+                        f"training diverged: non-finite loss at epoch {epoch}, document {di}")
+                total_loss += doc_loss
 
-            # unbuffered, in position order: a repeated word's updates land
-            # one after another, as a per-word loop would apply them
-            # the gradients are fresh arrays, so they are scaled in place
-            dw_cols *= lr
-            np.subtract.at(params.W.T, words, dw_cols)
-            dU *= lr
-            params.U -= dU
-            db *= lr
-            params.b -= db
-            dc *= lr
-            params.c -= dc
-            if gvt is not None:
-                dW, dA = gvt
-                dW *= lr
-                params.W -= dW
-                for sid, grad in dA.items():
-                    grad *= lr
-                    params.alignments[sid] -= grad
+                # unbuffered, in position order: a repeated word's updates land
+                # one after another, as a per-word loop would apply them
+                # the gradients are fresh arrays, so they are scaled in place
+                dw_cols *= lr
+                np.subtract.at(params.W.T, words, dw_cols)
+                dU *= lr
+                params.U -= dU
+                db *= lr
+                params.b -= db
+                dc *= lr
+                params.c -= dc
+                if gvt is not None:
+                    dW, dA = gvt
+                    dW *= lr
+                    params.W -= dW
+                    for sid, grad in dA.items():
+                        grad *= lr
+                        params.alignments[sid] -= grad
 
         entry = EpochStats(epoch, total_loss / len(corpus))
         if gvt_on:

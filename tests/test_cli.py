@@ -552,10 +552,11 @@ def test_each_command_registers_exactly_the_flags_it_reads():
         "import-embeddings-config", "topics-seed", "topics-config", "eval-seed", "nn-seed",
         "nn-config", "nn-out"])
 def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv, flag):
+    # the usage shown is the subcommand's, which lists the flags it does take
     assert main([*argv, flag, "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: topicxfer ")
-    assert err.endswith(f"\ntopicxfer: error: unrecognized arguments: {flag} 1\n")
+    assert err.startswith(f"usage: topicxfer {argv[0]} [-h] ")
+    assert err.endswith(f"\ntopicxfer {argv[0]}: error: unrecognized arguments: {flag} 1\n")
 
 
 @pytest.mark.parametrize("argv", [["train", "--train", "t"], ["transfer-train", "--train", "t"],
@@ -593,7 +594,10 @@ def test_eval_pool_without_a_vocabulary_word_names_the_file(tmp_path, family, ca
     assert err == f"error: {pool}: no document holds a word of the vocabulary"
 
 
-def test_zero_shot_target_without_a_source_word_names_the_file(tmp_path, family, capsys):
+def test_zero_shot_target_without_a_source_word_names_the_file(tmp_path, family, capsys,
+                                                               monkeypatch):
+    # the target train split is the retrieval pool, read before the union model is trained
+    monkeypatch.setattr(harness, "train", _never_train)
     train = tmp_path / "train.txt"
     train.write_text(f"t0\t{OOV_DOC}t1\t{OOV_DOC}")
     cfg = tmp_path / "exp.cfg"
@@ -602,7 +606,29 @@ def test_zero_shot_target_without_a_source_word_names_the_file(tmp_path, family,
                    f"source.s1.corpus = {family / 'source.txt'}\nepochs = 1\ntopics = 2\n")
     assert main(["experiment", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip()
-    assert err == f"error: evaluating: {train}: no document holds a word of the vocabulary"
+    assert err == (f"error: loading evaluation corpora: {train}: "
+                   "no document holds a word of the vocabulary")
+
+
+@pytest.mark.parametrize("missing", ["target.test", "coherence_reference"])
+def test_missing_evaluation_corpus_fails_before_any_kb_or_model_is_trained(
+        tmp_path, family, capsys, monkeypatch, missing):
+    monkeypatch.setattr(harness, "train", _never_train)
+    absent = tmp_path / "missing_test.txt"
+    paths = {"target.test": family / "test.txt", "coherence_reference": family / "train.txt",
+             missing: absent}
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"mode = mvt\ntarget.train = {family / 'train.txt'}\n"
+                   f"target.validation = {family / 'validation.txt'}\n"
+                   f"target.test = {paths['target.test']}\n"
+                   f"coherence_reference = {paths['coherence_reference']}\nout = {out}\n"
+                   f"source.s1.corpus = {family / 'source.txt'}\nepochs = 1\ntopics = 2\n")
+    assert main(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: loading evaluation corpora: [Errno 2] No such file or directory: "
+                   f"'{absent}'")
+    assert not (out / "kb.s1").exists() and not (out / "model").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])

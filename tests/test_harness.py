@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from topicxfer import corpus as corpuslib
 from topicxfer.corpus import Vocabulary, load_corpus_file, write_corpus_file
 from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.evaluate import EvalReport, perplexity
@@ -220,6 +221,29 @@ def test_zero_shot_never_trains_on_target(tmp_path):
     train_lines = [line for line in audit if line.startswith("train ")]
     assert not any("target_train" in line for line in train_lines)
     assert any("source:s1" in line for line in train_lines)
+
+
+def test_baseline_reads_target_train_once_and_pools_it_for_retrieval(tmp_path, monkeypatch):
+    paths = small_family(tmp_path)
+    reads = []
+    original = corpuslib.read_raw_file
+
+    def spy(path, *args, **kwargs):
+        reads.append(str(path))
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpuslib, "read_raw_file", spy)
+    # min_freq 2 drops words, so a pool read on the training vocabulary would drop them too;
+    # the coherence reference, target.train by default, is read on its own vocabulary
+    run_experiment(ExperimentConfig(mode="baseline", out_dir=str(tmp_path / "b"), min_freq=2,
+                                    coherence_reference=paths["source"], **base_kwargs(paths)))
+    assert reads.count(paths["train"]) == 1
+    audit = {}
+    for line in (tmp_path / "b" / "ingestion.txt").read_text().splitlines():
+        role, name, count = line.split()
+        audit[role, name] = int(count)
+    pool = load_corpus_file(paths["train"], labeled=True, min_freq=2)
+    assert audit["train", "target_train"] == audit["eval", "retrieval_pool"] == len(pool)
 
 
 def test_data_augment_train_size_is_sum_of_parts(tmp_path):

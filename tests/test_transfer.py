@@ -9,7 +9,7 @@ from topicxfer.errors import ConfigError, CorpusError
 from topicxfer.fileio import write_matrix
 from topicxfer.model import ensure_alignments, init_params
 from topicxfer.transfer import (KnowledgeBase, SourceWeight, TransferSpec,
-                                build_kb, gvt_gradients, gvt_penalty, load_kb,
+                                build_kb, gvt_buffers, gvt_gradients, gvt_penalty, load_kb,
                                 load_embeddings_text, make_transfer_context,
                                 project_kb, save_kb)
 
@@ -336,6 +336,30 @@ def test_gvt_gradients_penalty_is_bit_equal_to_gvt_penalty(rng, mask):
     assert _same_bits(dW, want_dW)
     for sid in dA:
         assert _same_bits(dA[sid], want_dA[sid])
+
+
+@pytest.mark.parametrize("n_sources", [1, 2])
+@pytest.mark.parametrize("mask", [False, True])
+def test_gvt_gradients_into_buffers_give_the_same_bits(rng, mask, n_sources):
+    target = Vocabulary(["a", "b", "c", "d", "e"])
+    kbs = [random_kb(rng, "s0", 3, ["a", "b", "e"]), random_kb(rng, "s1", 3, ["b", "c", "d"])]
+    spec = TransferSpec([SourceWeight(f"s{i}", gamma=0.7 - 0.5 * i) for i in range(n_sources)],
+                        gvt_enabled=True, gvt_mask_oov=mask)
+    ctx = make_transfer_context(kbs[:n_sources], target, spec, 3)
+    W = rng.normal(size=(3, 5))
+    alignments = {f"s{i}": rng.normal(size=(3, 3)) for i in range(n_sources)}
+    want = gvt_gradients(W, ctx, alignments=alignments)
+    out = gvt_buffers(W, ctx)
+    residual, dW_out, dA_out, term = out
+    for buffer in (residual, dW_out, *dA_out.values(), *([] if term is None else [term])):
+        buffer.fill(np.nan)
+    penalty, dW, dA = gvt_gradients(W, ctx, alignments=alignments, out=out)
+    assert penalty == want[0]
+    assert dW is dW_out and all(dA[sid] is dA_out[sid] for sid in dA)
+    assert _same_bits(dW, want[1])
+    assert sorted(dA) == sorted(want[2])
+    for sid in dA:
+        assert _same_bits(dA[sid], want[2][sid])
 
 
 def test_gvt_gradients_sum_turns_negative_zero_positive():
