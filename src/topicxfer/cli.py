@@ -129,8 +129,7 @@ def _require_out(args):
 
 
 def _load_target(args):
-    """Check --out, then load the --train corpus and its --validation split."""
-    _require_out(args)
+    """The --train corpus and its --validation split."""
     return load_target(args.train, args.validation, args.labeled, args.min_freq,
                        args.max_vocab)
 
@@ -150,6 +149,7 @@ def _train_and_save(args, config, train_corpus, validation, ctx=None):
 
 def _cmd_train(args):
     config = _from_args(TrainConfig, TRAIN_KEYS, args)
+    _require_out(args)
     return _train_and_save(args, config, *_load_target(args))
 
 

@@ -118,8 +118,6 @@ class Corpus:
     documents: list[Document]
     label_names: list[str] | None = None
     split: str = "train"
-    docs_dropped: int = 0
-    tokens_dropped: int = 0
 
     def __post_init__(self):
         if self.split not in SPLITS:
@@ -183,10 +181,9 @@ def build_vocabulary(raw_docs, min_freq=1, max_vocab=None):
 def encode_corpus(raw_docs, labels, vocabulary, split="train", label_names=None):
     """Map tokenized documents onto vocabulary indices.
 
-    Out-of-vocabulary tokens are dropped (counted in tokens_dropped); documents
-    that become empty are dropped (counted in docs_dropped).  When label_names
-    is given, any label outside it is an ingestion error; otherwise label names
-    are collected in order of first appearance.
+    Out-of-vocabulary tokens are dropped, and so are documents that become
+    empty.  When label_names is given, any label outside it is an ingestion
+    error; otherwise label names are collected in order of first appearance.
     """
     if labels is not None and len(labels) != len(raw_docs):
         raise CorpusError("labels and documents must align one-to-one")
@@ -199,25 +196,13 @@ def encode_corpus(raw_docs, labels, vocabulary, split="train", label_names=None)
                 raise CorpusError(f"label not in label set: {lab!r}")
 
     documents = []
-    docs_dropped = 0
-    tokens_dropped = 0
     index = vocabulary._index
     for pos, doc in enumerate(raw_docs):
         idx = [index[t] for t in doc if t in index]
-        tokens_dropped += len(doc) - len(idx)
-        if not idx:
-            docs_dropped += 1
-            continue
-        label = name_index[labels[pos]] if labels is not None else None
-        documents.append(Document(np.array(idx, dtype=np.int64), label))
-    return Corpus(
-        vocabulary,
-        documents,
-        label_names=names,
-        split=split,
-        docs_dropped=docs_dropped,
-        tokens_dropped=tokens_dropped,
-    )
+        if idx:
+            label = name_index[labels[pos]] if labels is not None else None
+            documents.append(Document(np.array(idx, dtype=np.int64), label))
+    return Corpus(vocabulary, documents, label_names=names, split=split)
 
 
 def read_raw_file(path, labeled=False):
@@ -241,7 +226,7 @@ def read_raw_file(path, labeled=False):
 
 
 def load_corpus_file(path, vocabulary=None, labeled=False, split="train",
-                     min_freq=1, max_vocab=None, label_names=None):
+                     min_freq=1, max_vocab=None):
     """Load a corpus file, building a vocabulary unless one is supplied.
 
     A file none of whose documents holds a vocabulary word is a CorpusError.
@@ -249,8 +234,7 @@ def load_corpus_file(path, vocabulary=None, labeled=False, split="train",
     raw_docs, labels = read_raw_file(path, labeled=labeled)
     if vocabulary is None:
         vocabulary = build_vocabulary(raw_docs, min_freq=min_freq, max_vocab=max_vocab)
-    corpus = encode_corpus(raw_docs, labels, vocabulary, split=split,
-                           label_names=label_names)
+    corpus = encode_corpus(raw_docs, labels, vocabulary, split=split)
     if not corpus.documents:
         raise CorpusError(f"{path}: no document holds a word of the vocabulary")
     return corpus

@@ -180,6 +180,8 @@ def coherence(topics, reference, window=DEFAULT_WINDOW, top_n=DEFAULT_TOP_N):
     """
     check_top_n(top_n)
     check_window(window)
+    if len(topics) == 0:
+        raise ConfigError("coherence needs at least one topic")
     if len(reference) == 0:
         raise CorpusError("coherence needs a non-empty reference corpus")
     clipped = []
@@ -255,6 +257,9 @@ def retrieval_precision(train, queries, vector_fn, fractions=DEFAULT_FRACTIONS):
     scored by the share carrying the query's label; the mean over queries is
     reported per fraction.
     """
+    for corpus, name in ((train, "pool"), (queries, "query corpus")):
+        if len(corpus) == 0:
+            raise CorpusError(f"retrieval evaluation needs a non-empty {name}")
     if not train.labeled or not queries.labeled:
         raise CorpusError("retrieval evaluation needs labeled corpora")
     fractions = check_fractions(fractions)

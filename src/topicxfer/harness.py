@@ -345,11 +345,8 @@ def _union_corpus(parts, labeled, min_freq, max_vocab):
         names = list(dict.fromkeys(lab for _, _, labels in parts for lab in labels))
     encoded = [(name, corpuslib.encode_corpus(docs, labels, vocabulary, label_names=names))
                for name, docs, labels in parts]
-    merged = corpuslib.Corpus(
-        vocabulary, [doc for _, part in encoded for doc in part.documents],
-        label_names=names, split="train",
-        docs_dropped=sum(part.docs_dropped for _, part in encoded),
-        tokens_dropped=sum(part.tokens_dropped for _, part in encoded))
+    merged = corpuslib.Corpus(vocabulary, [doc for _, part in encoded for doc in part.documents],
+                              label_names=names, split="train")
     return merged, [(name, len(part)) for name, part in encoded]
 
 

@@ -245,8 +245,10 @@ def _doc_step(params, ctx, words, lvt, use_lvt, act, helper=None):
     doc_grads' first.
     """
     def gvt_args():
-        # this thread allocates the arrays: memory the helper allocated would
-        # stay in its own malloc arena
+        # this thread allocates the arrays gvt_gradients fills, on either
+        # thread, so both paths share one call form; fresh arrays per call
+        # give the same bits, and neither way measured faster or leaner
+        # (CHANGES.md)
         return params.W, ctx, params.alignments, transfer.gvt_buffers(params.W, ctx)
 
     gvt_on = ctx is not None and ctx.gvt_weights
@@ -330,18 +332,18 @@ def train(corpus, config, ctx=None, validation=None):
 
     act = _act_code(config.activation)
     lr = config.learning_rate
+    from .evaluate import perplexity  # evaluate imports this module
 
     stats = []
     best_params = None
     best_ppl = np.inf
     best_epoch = -1
-    epochs_run = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(corpus)) if config.shuffle_docs else np.arange(len(corpus))
         total_loss = 0.0
-        # the alignment-penalty gradients run beside doc_grads on a helper thread
-        with (helper_thread(*params.W.shape) if gvt_on
-              else contextlib.nullcontext()) as helper:
+        # the alignment-penalty gradients run beside doc_grads on a helper
+        # thread; without them nothing is submitted, so no thread starts
+        with helper_thread(*params.W.shape) as helper:
             for di in order:
                 words = corpus.documents[di].words
                 if config.shuffle_words:
@@ -375,15 +377,11 @@ def train(corpus, config, ctx=None, validation=None):
                         params.alignments[sid] -= grad
 
         entry = EpochStats(epoch, total_loss / len(corpus))
+        stats.append(entry)
         if gvt_on:
             entry.gvt_residuals = transfer.gvt_residual_norms(params.W, ctx, params.alignments)
         if validation is not None:
-            from .evaluate import perplexity
-
             entry.validation_ppl = perplexity(params, validation, ctx)
-        stats.append(entry)
-        epochs_run = epoch + 1
-        if validation is not None:
             if entry.validation_ppl < best_ppl:
                 best_ppl = entry.validation_ppl
                 best_params = params.copy()
@@ -392,7 +390,7 @@ def train(corpus, config, ctx=None, validation=None):
                 break
 
     final = best_params if best_params is not None else params
-    final.trained_epochs = epochs_run
+    final.trained_epochs = len(stats)
     return final, stats
 
 

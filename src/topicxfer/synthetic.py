@@ -68,11 +68,6 @@ def _generate_corpus(rng, topics, n_docs, length_range, mixture_concentration,
     return Corpus(vocabulary, docs, label_names=labels, split=split)
 
 
-def mixture_marginal(topics):
-    """Expected unigram distribution under a symmetric mixture (mean of topic rows)."""
-    return topics.mean(axis=0)
-
-
 def generate_synthetic(spec):
     """Generate (source corpus, (target train, target validation, target test)).
 

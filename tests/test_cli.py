@@ -214,6 +214,17 @@ def test_missing_out_is_single_line_error(tmp_path, family, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--train", "absent.txt"],
+    ["transfer-train", "--train", "absent.txt", "--kb", "s=absent"],
+    ["build-kb", "--model", "absent", "--source-id", "s"],
+    ["import-embeddings", "--embeddings", "absent.txt", "--source-id", "s"],
+    ["synth"]], ids=lambda argv: argv[0])
+def test_missing_out_is_reported_before_any_file_is_read(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]} requires --out DIR\n"
+
+
 def test_config_file_supplies_flag_defaults(tmp_path, family, capsys):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("epochs = 2\nlearning_rate = 0.01\ntopics = 3\nlabeled = true\n")

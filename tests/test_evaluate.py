@@ -289,6 +289,14 @@ def test_coherence_rejects_small_top_n(rng):
         coherence([["w0", "w1"]], reference, top_n=1)
 
 
+def test_coherence_rejects_empty_inputs():
+    reference = Corpus(make_vocab(3), [Document(np.array([0, 1]))])
+    with pytest.raises(ConfigError, match="^coherence needs at least one topic$"):
+        coherence([], reference)
+    with pytest.raises(CorpusError, match="^coherence needs a non-empty reference corpus$"):
+        coherence([["w0", "w1"]], Corpus(make_vocab(3), []))
+
+
 # ----------------------------------------------------------------- retrieval
 
 def vectors_fixture(train_vecs, train_labels, query_vecs, query_labels):
@@ -400,6 +408,15 @@ def test_retrieval_requires_labels(rng):
     queries = Corpus(vocab, [Document(np.array([1]))])
     with pytest.raises(CorpusError):
         retrieval_precision(train, queries, lambda d: np.ones(2), [0.5])
+
+
+@pytest.mark.parametrize("empty, name", [("train", "pool"), ("queries", "query corpus")])
+def test_retrieval_rejects_an_empty_corpus(empty, name):
+    train, queries, fn = vectors_fixture([[1.0, 0.0]], ["x"], [[0.0, 1.0]], ["x"])
+    corpora = {"train": train, "queries": queries}
+    corpora[empty] = Corpus(make_vocab(2), [], label_names=["x"])
+    with pytest.raises(CorpusError, match=f"^retrieval evaluation needs a non-empty {name}$"):
+        retrieval_precision(corpora["train"], corpora["queries"], fn, [0.5])
 
 
 def test_model_vector_fn_uses_document_vector(rng):

@@ -157,6 +157,7 @@ def test_write_lines_that_raises_keeps_the_old_file(tmp_path):
 
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "topicxfer")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 _MODE_CHARS = set("rwaxbt+")
 _NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}
 # the functions of each module that remove or rename files
@@ -222,9 +223,9 @@ def _mover_sites(tree):
     return sites
 
 
-def _package_trees():
-    """(file name, parsed module) of each module of the package."""
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+def _package_trees(directory=SRC):
+    """(file name, parsed module) of each module in directory, the package's by default."""
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             yield os.path.basename(path), ast.parse(fh.read())
 
@@ -276,3 +277,73 @@ def test_writer_finder_sees_numpy_writers(source, writes):
     ("import os as o\nos_.remove(p)", False)])
 def test_mover_finder_sees_removes_and_renames(source, moves):
     assert bool(_mover_sites(ast.parse(source))) is moves
+
+
+def _definitions(tree):
+    """Each top-level function of tree and each non-dunder method of its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def _names(tree, strings=False):
+    """(name, node) of each Name and each Attribute's attr in tree, and with
+    strings, of each str constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def _unread(package, exports, perfbench):
+    """(module, name) of each _definitions entry of the package's {module: tree}
+    that nothing names outside its own definition: no Name or Attribute in the
+    package, no import in the exports tree, and no Name, Attribute or string
+    constant in the perfbench trees (perfbench/tracer.py names what it patches
+    by string)."""
+    readers = {}  # name -> ids of the nodes that name it
+    for tree in package.values():
+        for name, node in _names(tree):
+            readers.setdefault(name, []).append(id(node))
+    outside = {alias.name for node in ast.walk(exports) if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    outside.update(name for tree in perfbench for name, _ in _names(tree, strings=True))
+    unread = []
+    for module, tree in package.items():
+        for definition in _definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if definition.name not in outside and own.issuperset(
+                    readers.get(definition.name, ())):
+                unread.append((module, definition.name))
+    return unread
+
+
+def test_every_function_and_method_has_a_reader():
+    # code that no module, export or benchmark names is deleted, not kept up to date
+    package = dict(_package_trees())
+    perfbench = [tree for _, tree in _package_trees(PERFBENCH)]
+    assert _unread(package, package["__init__.py"], perfbench) == []
+
+
+@pytest.mark.parametrize("source, exports, perfbench, unread", [
+    ("def f():\n    pass\nf()", "", "", []),
+    ("def f():\n    return f()", "", "", ["f"]),
+    ("def f():\n    pass", "from .m import f", "", []),
+    ("def f():\n    pass", "import f", "", ["f"]),
+    ("def f():\n    pass", "", "m.f()", []),
+    ("def f():\n    pass", "", "PATCHES = [(m, 'f')]", []),
+    ("def f():\n    pass\nx = 'f'", "", "", ["f"]),
+    ("class C:\n    def g(self):\n        pass\n    def __len__(self):\n        return 0",
+     "", "", ["g"]),
+    ("class C:\n    def g(self):\n        return self.g()", "", "", ["g"]),
+    ("class C:\n    def g(self):\n        pass\n\nC().g()", "", "", []),
+    ("def f():\n    def inner():\n        pass\n    return 1\nf()", "", "", [])])
+def test_unread_finder_sees_definitions_nothing_names(source, exports, perfbench, unread):
+    found = _unread({"m.py": ast.parse(source)}, ast.parse(exports), [ast.parse(perfbench)])
+    assert [name for _, name in found] == unread

@@ -1,6 +1,9 @@
 """The helper thread: training steps and perplexity with it give the
-sequential path's bits and errors, and model.use_helper decides when it runs."""
+sequential path's bits and errors, and model.use_helper decides when it runs.
+The subprocess tests run at one BLAS thread and at shapes large enough for
+OpenBLAS to take the kernels of paper-scale runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -145,13 +148,132 @@ def test_the_helper_thread_ends_with_the_call(rng, monkeypatch):
     assert not _helper_threads()
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _at_one_blas_thread(code, *args):
+    """The standard output of code run in a fresh interpreter at one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 def test_blas_threads_reads_the_setting_of_the_bundled_openblas():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    code = "from topicxfer import kernels; print(kernels.blas_threads())"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout.strip()
+    out = _at_one_blas_thread("from topicxfer import kernels; print(kernels.blas_threads())")
     # None where numpy does not ship its own OpenBLAS
-    assert out in ("1", "None")
+    assert out.strip() in ("1", "None")
+
+
+# builds, from a fixed seed, a vocabulary of K words, corpus(n, lengths) and
+# context(n_sources, lvt)
+_SETUP = """
+import numpy as np
+from topicxfer.corpus import Corpus, Document, Vocabulary
+from topicxfer.transfer import KnowledgeBase, SourceWeight, TransferSpec, make_transfer_context
+
+rng = np.random.default_rng(11)
+vocab = Vocabulary([f"w{i}" for i in range(K)])
+
+def corpus(n, lengths=(3, 15)):
+    return Corpus(vocab, [Document(rng.integers(0, K, size=int(rng.integers(*lengths))))
+                          for _ in range(n)])
+
+def context(n_sources, lvt):
+    kbs = [KnowledgeBase(f"s{i}", vocab, rng.normal(size=(H, K)), rng.normal(size=(H, K)))
+           for i in range(n_sources)]
+    weights = [SourceWeight(f"s{i}", 0.5 if lvt else 0.0, 0.1 + 0.05 * i)
+               for i in range(n_sources)]
+    spec = TransferSpec(weights, lvt_enabled=lvt, gvt_enabled=True)
+    return make_transfer_context(kbs, vocab, spec, H)
+"""
+
+
+_REAL_GATE = """
+import hashlib, json, threading
+from topicxfer import evaluate, model, transfer
+from topicxfer.evaluate import perplexity
+from topicxfer.model import TrainConfig, init_params, train
+
+H, K = 50, 500
+""" + _SETUP + """
+assert model.use_helper(H, K), "the gate is off at one BLAS thread"
+train_docs, validation, test = corpus(8), corpus(4), corpus(7)
+contexts = {"gvt-one-source": context(1, False), "mvt-two-sources": context(2, True)}
+threads = set()
+
+def spied(module, name):
+    original = getattr(module, name)
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread().name.split("_")[0])
+        return original(*args, **kwargs)
+    setattr(module, name, spy)
+
+spied(transfer, "gvt_gradients")
+spied(evaluate, "forward")
+
+def digests():
+    arrays = {}
+    for name, ctx in contexts.items():
+        params, stats = train(train_docs, TrainConfig(n_topics=H, epochs=2, learning_rate=0.05,
+                                                      seed=7), ctx, validation)
+        arrays[name] = [params.W, params.U, params.b, params.c, *params.alignments.values(),
+                        np.array([s.train_loss for s in stats]),
+                        np.array([s.validation_ppl for s in stats])]
+    params = init_params(H, K, seed=5, init_scale=0.5)
+    arrays["perplexity"] = [np.array([perplexity(params, test),
+                                      perplexity(params, test, contexts["mvt-two-sources"])])]
+    return {name: [hashlib.sha256(a.tobytes()).hexdigest() for a in group]
+            for name, group in arrays.items()}
+
+gate = digests()
+gate_threads = sorted(threads)
+threads.clear()
+model.use_helper = lambda n_topics, vocab_size: False
+off = digests()
+print(json.dumps({"gate": gate, "gate_threads": gate_threads,
+                  "off": off, "off_threads": sorted(threads)}))
+"""
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif((_usable_cpus() or 1) < 2, reason="the helper needs 2 usable CPUs")
+def test_the_real_gate_gives_the_sequential_bits_at_one_blas_thread():
+    # H * K = 25 000 turns the helper on, and at these shapes OpenBLAS takes
+    # other kernel paths than at the H=4, K=9 cases above
+    runs = json.loads(_at_one_blas_thread(_REAL_GATE))
+    assert runs["gate_threads"] == ["MainThread", "topicxfer-helper"]
+    assert runs["off_threads"] == ["MainThread"]
+    assert runs["gate"] == runs["off"]
+
+
+_BUNDLE = """
+import sys
+from topicxfer.model import TrainConfig, save_model, train
+
+H, K = 32, 400
+""" + _SETUP + """
+ctx = context(1, True)
+params, _ = train(corpus(12, (60, 100)), TrainConfig(n_topics=H, epochs=2, learning_rate=0.05,
+                                                     seed=3), ctx, corpus(4))
+save_model(params, vocab, sys.argv[1], seed=3, lvt_matrix=ctx.lvt_matrix)
+"""
+
+
+def test_reruns_at_a_thread_sensitive_shape_write_identical_bundles(tmp_path):
+    # with documents of 60-100 words at H=32, K=400, this bundle's W, U, b, c
+    # and alignment differ between one and two BLAS threads; at one fixed
+    # count, two processes must agree byte for byte
+    bundles = [tmp_path / "first", tmp_path / "second"]
+    for bundle in bundles:
+        _at_one_blas_thread(_BUNDLE, str(bundle))
+    names = sorted(os.listdir(bundles[0]))
+    assert "lvt.mat" in names and names == sorted(os.listdir(bundles[1]))
+    for name in names:
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
 
 
 # ------------------------------------------------------------------ errors
