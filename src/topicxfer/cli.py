@@ -175,13 +175,16 @@ def _cmd_import_embeddings(args):
 
 def _parse_kb_flags(kb_args):
     """The KB of each --kb ID=DIR, loaded under ID once every entry is checked."""
-    sources = []
+    sources = {}
     for entry in kb_args or []:
         source_id, sep, path = entry.partition("=")
         if not (sep and source_id):
             raise TopicxferError(f"--kb expects ID=DIR with a non-empty ID, got {entry!r}")
-        sources.append((parse_entry(f"--kb {entry!r}", source_id, check_source_id), path))
-    return [load_kb(path, source_id) for source_id, path in sources]
+        parse_entry(f"--kb {entry!r}", source_id, check_source_id)
+        if source_id in sources:
+            raise ConfigError(f"--kb {entry!r}: source id {source_id!r} is given twice")
+        sources[source_id] = path
+    return [load_kb(path, source_id) for source_id, path in sources.items()]
 
 
 def _cmd_transfer_train(args):

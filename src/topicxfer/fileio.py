@@ -40,6 +40,12 @@ def write_lines(path, lines):
         raise
 
 
+def remove_file(path):
+    """Remove path if it exists."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+
+
 def write_matrix(path, mat):
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim == 1:
@@ -140,8 +146,7 @@ def write_bundle(out_dir, meta, vocabulary, matrices):
     save that stops partway leaves no meta.txt and BundleReader refuses it."""
     os.makedirs(out_dir, exist_ok=True)
     meta_path = os.path.join(out_dir, "meta.txt")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(meta_path)
+    remove_file(meta_path)
     for member in os.listdir(out_dir):
         if member.endswith(".mat") and member[:-4] not in matrices:
             os.remove(os.path.join(out_dir, member))

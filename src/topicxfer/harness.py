@@ -20,7 +20,7 @@ from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
                        EvalReport, all_topics, check_fractions, check_top_n,
                        check_window, coherence, model_vector_fn, perplexity,
                        retrieval_precision)
-from .fileio import format_float, parse_entry, read_kv, settings, write_lines
+from .fileio import format_float, parse_entry, read_kv, remove_file, settings, write_lines
 from .model import TRAIN_KEYS, TrainConfig, save_model, train
 from .transfer import (SourceWeight, TransferSpec, build_kb, check_source_id, check_weights,
                        load_kb, make_transfer_context, save_kb)
@@ -444,6 +444,9 @@ def run_experiment(config):
     audit.extend(eval_audit)
     report.fingerprint = _fingerprint(config, ctx)
 
+    selection_path = os.path.join(config.out_dir, "selection.txt")
+    if selection is None:
+        remove_file(selection_path)  # an earlier grid run's, not this report's
     save_model(params, vocabulary, os.path.join(config.out_dir, "model"),
                seed=config.train.seed,
                lvt_matrix=None if ctx is None else ctx.lvt_matrix)
@@ -451,5 +454,5 @@ def run_experiment(config):
     _write_train_log(os.path.join(config.out_dir, "train_log.txt"), stats)
     _write_audit(os.path.join(config.out_dir, "ingestion.txt"), audit)
     if selection is not None:
-        _write_selection(os.path.join(config.out_dir, "selection.txt"), *selection)
+        _write_selection(selection_path, *selection)
     return report

@@ -240,28 +240,21 @@ def _doc_step(params, ctx, words, lvt, use_lvt, act, helper=None):
     Returns (loss, dw_cols, dU, db, dc, gvt).  dw_cols[q] is the gradient of
     the W column of words[q]; gvt is (dW, {source_id: dA}) of the alignment
     penalty, which loss includes, or None without global transfer.  With a
-    helper executor (from helper_thread), the penalty's gradients run on it
-    while doc_grads runs here; an error is raised in sequential order,
-    doc_grads' first.
+    helper executor (from helper_thread), gvt_gradients runs on it, with the
+    arguments of the sequential call, while doc_grads runs here; an error is
+    raised in sequential order, doc_grads' first.
     """
-    def gvt_args():
-        # this thread allocates the arrays gvt_gradients fills, on either
-        # thread, so both paths share one call form; fresh arrays per call
-        # give the same bits, and neither way measured faster or leaner
-        # (CHANGES.md)
-        return params.W, ctx, params.alignments, transfer.gvt_buffers(params.W, ctx)
-
     gvt_on = ctx is not None and ctx.gvt_weights
     pending = None
     if gvt_on and helper is not None:
-        pending = helper.submit(transfer.gvt_gradients, *gvt_args())
+        pending = helper.submit(transfer.gvt_gradients, params.W, ctx, params.alignments)
     logps, dw_cols, dU, db, dc = kernels.doc_grads(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     doc_loss = -np.add.reduce(logps)
     gvt = None
     if gvt_on:
         if pending is None:
-            penalty, dW, dA = transfer.gvt_gradients(*gvt_args())
+            penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, params.alignments)
         else:
             penalty, dW, dA = pending.result()
         doc_loss += penalty
@@ -324,6 +317,12 @@ def train(corpus, config, ctx=None, validation=None):
     """
     if len(corpus) == 0:
         raise CorpusError("cannot train on an empty corpus")
+    if validation is not None:
+        if len(validation) == 0:
+            raise CorpusError("cannot validate on an empty corpus")
+        if validation.vocabulary != corpus.vocabulary:
+            raise CorpusError("the validation corpus is encoded on another vocabulary "
+                              "than the training corpus")
     rng = np.random.default_rng(config.seed)
     params = _init_from_rng(rng, config.n_topics, len(corpus.vocabulary),
                             config.init_scale, config.activation)

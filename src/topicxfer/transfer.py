@@ -234,16 +234,12 @@ def make_transfer_context(kbs, target_vocab, spec, n_topics):
     return TransferContext(lvt, shape, spec.lvt_weights, gvt, projected)
 
 
-def _residuals(W, ctx, alignments, out=None):
-    """(source_id, gamma, A W - Z', A) per penalty source; A = I when alignments lacks it.
-
-    Each residual is a fresh array, or, with out given, out itself, so each
-    must be used up before the next is made.
-    """
+def _residuals(W, ctx, alignments):
+    """(source_id, gamma, A W - Z', A) per penalty source; A = I when alignments lacks it."""
     alignments = alignments or {}
     for source_id, (gamma, Z, oov) in ctx.gvt.items():
         A = alignments[source_id] if source_id in alignments else np.eye(ctx.shape[0])
-        R = np.matmul(A, W, out=out)
+        R = A @ W
         R -= Z
         if oov is not None:
             R[:, oov] = 0.0
@@ -260,40 +256,30 @@ def gvt_penalty(W, ctx, alignments=None):
     return total
 
 
-def gvt_buffers(W, ctx):
-    """Uninitialised arrays for gvt_gradients(..., out=): (residual, dW,
-    {source_id: dA}, term), where term holds the dW term of each source after
-    the first (None for one source)."""
-    h = W.shape[0]
-    term = np.empty_like(W) if len(ctx.gvt) > 1 else None
-    return np.empty_like(W), np.empty_like(W), {sid: np.empty((h, h)) for sid in ctx.gvt}, term
-
-
-def gvt_gradients(W, ctx, alignments=None, out=None):
+def gvt_gradients(W, ctx, alignments=None):
     """gvt_penalty and its gradients from one residual per source.
 
     Returns (penalty, d/dW, {source_id: d/dA^k}); the penalty is bit-equal to
     gvt_penalty(W, ctx, alignments).  Every returned gradient is a fresh array,
-    so a caller may scale it in place; with out, gvt_buffers(W, ctx), the
-    gradients are out's arrays, filled with the same bits.
+    so a caller may scale it in place.
     """
     if not ctx.gvt_weights:
         raise ConfigError("global-view transfer is not enabled in this context")
-    residual, dW, dA, term = (None, None, {}, None) if out is None else out
+    dW = None
+    dA = {}
     total = 0.0
-    for i, (source_id, gamma, R, A) in enumerate(_residuals(W, ctx, alignments, residual)):
+    for source_id, gamma, R, A in _residuals(W, ctx, alignments):
         total += gamma * float(np.vdot(R, R))
         scale = 2.0 * gamma
-        if i == 0:
-            dW = np.matmul(A.T, R, out=dW)
-            dW *= scale
+        term = A.T @ R
+        term *= scale
+        if dW is None:
+            dW = term
             # the sum starts from zeros, which turns a -0.0 term into +0.0
             dW += 0.0
         else:
-            term = np.matmul(A.T, R, out=term)
-            term *= scale
             dW += term
-        grad = np.matmul(R, W.T, out=dA.get(source_id))
+        grad = R @ W.T
         grad *= scale
         dA[source_id] = grad
     return total, dW, dA

@@ -405,6 +405,8 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
       "a/b={tmp}/kb", "--mode", "gvt", "--epochs", "3"], "--kb 'a/b={tmp}/kb':"),
     (["transfer-train", "--train", "{tmp}/missing.txt", "--kb", "a b={tmp}/kb"],
      "--kb 'a b={tmp}/kb':"),
+    (["transfer-train", "--train", "{tmp}/missing.txt", "--kb", "s1={tmp}/kb", "--kb",
+      "s1={tmp}/missing-kb"], "--kb 's1={tmp}/missing-kb': source id 's1'"),
     (["train", "--train", "{tmp}/missing.txt", "--min-freq", "0"], "--min-freq:"),
     (["train", "--train", "{tmp}/missing.txt", "--max-vocab", "0"], "--max-vocab:"),
     (["eval", "--model", "{tmp}/model", "--test", "{tmp}/t.txt", "--fractions", "nan"],
@@ -416,7 +418,7 @@ def test_eval_range_error_names_flag_or_config_key_before_loading(tmp_path, caps
     (["import-embeddings", "--embeddings", "{tmp}/missing.txt", "--source-id", "a b/c"],
      "--source-id:"),
 ], ids=["init-scale-nan", "learning-rate-nan", "lam-nan", "gamma-inf", "kb-empty-id",
-        "kb-slash-id", "kb-space-id",
+        "kb-slash-id", "kb-space-id", "kb-repeated-id",
         "min-freq-zero", "max-vocab-zero", "fractions-nan", "concentration-nan",
         "embedding-not-a-number", "build-kb-bad-id", "import-bad-id"])
 def test_bad_value_is_single_line_error(tmp_path, capsys, args, where):

@@ -211,6 +211,19 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
+def test_run_without_a_grid_leaves_no_earlier_selection(tmp_path):
+    paths = small_family(tmp_path)
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig(mode="mvt", out_dir=str(out),
+                                    sources=[SourceConfig("s1", corpus_path=paths["source"])],
+                                    lambda_grid=[0.5], gamma_grid=[0.05], **base_kwargs(paths)))
+    assert (out / "selection.txt").exists() and (out / "kb.s1" / "meta.txt").exists()
+    run_experiment(ExperimentConfig(mode="baseline", out_dir=str(out), **base_kwargs(paths)))
+    assert not (out / "selection.txt").exists()
+    # a source's knowledge base is left where it was
+    assert (out / "kb.s1" / "meta.txt").exists()
+
+
 def test_zero_shot_never_trains_on_target(tmp_path):
     paths = small_family(tmp_path)
     run_experiment(ExperimentConfig(

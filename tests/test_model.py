@@ -373,6 +373,19 @@ def test_early_stopping_returns_best_epoch(rng):
     assert perplexity(params, validation) == pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("tokens, n_docs, message", [
+    (["a", "b", "c"], 0, "cannot validate on an empty corpus"),
+    (["c", "b", "a"], 1, "validation corpus is encoded on another vocabulary")],
+    ids=["empty", "other-vocabulary"])
+def test_train_refuses_a_validation_corpus_before_the_first_epoch(monkeypatch, tokens, n_docs,
+                                                                   message):
+    corpus = Corpus(Vocabulary(["a", "b", "c"]), [Document(np.array([0, 1, 2]))])
+    validation = Corpus(Vocabulary(tokens), corpus.documents[:n_docs], split="validation")
+    monkeypatch.setattr(kernels, "doc_grads", None)  # no epoch may start
+    with pytest.raises(CorpusError, match=message):
+        train(corpus, TrainConfig(epochs=1, n_topics=2), validation=validation)
+
+
 def _reference_train(corpus, cfg, ctx):
     """Plain-SGD train() with LVT+GVT as it was before the step was vectorized.
 
