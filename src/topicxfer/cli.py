@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import corpus as corpuslib
 from .errors import ConfigError, TopicxferError
 from .evaluate import (DEFAULT_FRACTIONS, DEFAULT_TOP_N, DEFAULT_WINDOW,
-                       all_topics, check_top_n, nearest_neighbors)
+                       all_topics, check_top_n, check_word_count, nearest_neighbors)
 from .fileio import parse_bool, parse_entry, parse_floats, read_kv, settings, write_lines
 from .harness import (DEFAULT_TRANSFER_MODE, MODE_VIEWS, check_settings, evaluate_model,
                       load_eval_corpora, load_target, parse_config, run_experiment,
@@ -224,6 +224,7 @@ def _cmd_eval(args):
 
 def _cmd_topics(args):
     params, vocabulary, _, _ = load_model(args.model)
+    parse_entry("--n", args.n, lambda n: check_word_count(n, params.vocab_size))
     lines = [f"topic {j}: {' '.join(words)}"
              for j, words in enumerate(all_topics(params, vocabulary, args.n))]
     sys.stdout.write("\n".join(lines) + "\n")
@@ -235,6 +236,7 @@ def _cmd_topics(args):
 
 def _cmd_nn(args):
     params, vocabulary, _, _ = load_model(args.model)
+    parse_entry("--n", args.n, lambda n: check_word_count(n, params.vocab_size - 1))
     for word in nearest_neighbors(params, vocabulary, args.word, args.n):
         print(word)
     return 0

@@ -109,9 +109,9 @@ def check_fractions(fractions):
 def perplexity(params, corpus, ctx=None):
     """Average held-out perplexity per word: exp(-mean_t log p(v_t) / |v_t|).
 
-    With model.helper_thread's helper, it scores the second half of the
-    documents while this thread scores the first; each document's score is
-    the same either way, and an error is the one sequential order raises.
+    The second half of the documents goes to model.helper_thread's beside
+    while this thread scores the first; each document's score is the same
+    either way, and an error is the one sequential order raises.
     """
     if len(corpus) == 0:
         raise CorpusError("cannot evaluate perplexity on an empty corpus")
@@ -123,21 +123,26 @@ def perplexity(params, corpus, ctx=None):
         for t in range(lo, hi):
             per_doc[t] = forward(docs[t], params, ctx).sum() / len(docs[t])
 
-    with helper_thread(*params.W.shape) as helper:
-        half = n if helper is None else (n + 1) // 2
-        second = helper.submit(score, half, n) if half < n else None
+    half = (n + 1) // 2
+    with helper_thread(*params.W.shape) as beside:
+        second = beside(score, half, n)
         score(0, half)
-    if second is not None:
-        second.result()
+    second()
     return float(np.exp(-per_doc.mean()))
+
+
+def check_word_count(n, most):
+    """n, the length of a topic's or a word's neighbor list, if it lies in [1, most]."""
+    if not 1 <= n <= most:
+        raise ConfigError(f"n must be in [1, {most}]")
+    return n
 
 
 def top_words(params, vocabulary, topic_index, n):
     """The n heaviest words of one topic row, descending weight, ties by word index."""
     if not 0 <= topic_index < params.n_topics:
         raise ConfigError(f"topic index {topic_index} out of range")
-    if not 1 <= n <= params.vocab_size:
-        raise ConfigError(f"n must be in [1, {params.vocab_size}]")
+    check_word_count(n, params.vocab_size)
     row = params.W[topic_index]
     order = np.lexsort((np.arange(row.size), -row))
     return [vocabulary.token(i) for i in order[:n]]
@@ -153,8 +158,7 @@ def nearest_neighbors(params, vocabulary, word, n):
     if word not in vocabulary:
         raise CorpusError(f"word not in vocabulary: {word!r}")
     k = params.vocab_size
-    if not 1 <= n <= k - 1:
-        raise ConfigError(f"n must be in [1, {k - 1}]")
+    check_word_count(n, k - 1)
     w = vocabulary.index(word)
     cols = params.W
     norms = np.linalg.norm(cols, axis=0)

@@ -102,7 +102,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{grid}: must be non-empty for mode {self.mode!r}")
         if views and self.target_validation is None:
             raise ConfigError(f"target.validation: mode {self.mode!r} needs a validation split")
+        seen = set()
         for src in self.sources:
+            if src.source_id in seen:
+                raise ConfigError(f"source.{src.source_id}: the source id is repeated")
+            seen.add(src.source_id)
             if self.mode in UNION_MODES and src.kb_path is not None:
                 raise ConfigError(f"source.{src.source_id}: mode {self.mode!r} needs a "
                                   "source corpus, not a prebuilt KB")
@@ -196,6 +200,14 @@ def transfer_context(kbs, vocabulary, mode, weights, n_topics, gvt_mask_oov=Fals
     return make_transfer_context(kbs, vocabulary, spec, n_topics)
 
 
+def candidate_weights(config, lam, gamma):
+    """Each source's (id, lambda, gamma) at one grid candidate; a source's
+    fixed lambda or gamma wins over the candidate's."""
+    return [(s.source_id, lam if s.lam_override is None else s.lam_override,
+             gamma if s.gamma_override is None else s.gamma_override)
+            for s in config.sources]
+
+
 def grid_search(train_corpus, validation, kbs, config, candidates):
     """Train one model per candidate; select the minimum validation perplexity.
 
@@ -210,11 +222,8 @@ def grid_search(train_corpus, validation, kbs, config, candidates):
     table = []
     best = None
     for index, (lam, gamma) in enumerate(candidates):
-        # a source's fixed lambda or gamma wins over the candidate's
-        weights = [(s.source_id, lam if s.lam_override is None else s.lam_override,
-                    gamma if s.gamma_override is None else s.gamma_override)
-                   for s in config.sources]
-        ctx = transfer_context(kbs, train_corpus.vocabulary, config.mode, weights,
+        ctx = transfer_context(kbs, train_corpus.vocabulary, config.mode,
+                               candidate_weights(config, lam, gamma),
                                config.train.n_topics, config.gvt_mask_oov)
         params, stats = train(train_corpus, config.train, ctx, validation)
         val_ppl = min(s.validation_ppl for s in stats)
@@ -230,14 +239,16 @@ def _fingerprint(config, ctx):
     Only the sources of ctx's per-view weights leave a trace (their weights
     and their corpus or KB path), so a transfer
     mode whose weights all resolved to zero (ctx None) fingerprints
-    identically to the baseline.
+    identically to the baseline.  The union modes read no validation split,
+    so theirs leaves no trace either.
     """
+    union = config.mode in UNION_MODES
     lines = [
         f"target.train={config.target_train}",
-        f"target.validation={config.target_validation}",
+        f"target.validation={None if union else config.target_validation}",
         f"target.test={config.target_test}",
         f"labeled={config.labeled}",
-        f"mode_family={'union' if config.mode in UNION_MODES else 'target'}",
+        f"mode_family={'union' if union else 'target'}",
         f"includes_target_train={config.mode != 'zero-shot'}",
         f"min_freq={config.min_freq}",
         f"max_vocab={config.max_vocab}",
@@ -245,7 +256,7 @@ def _fingerprint(config, ctx):
         f"coherence={config.coherence_window},{config.coherence_top_n},{config.coherence_reference}",
     ]
     lines.append("train=" + ",".join(str(v) for v in astuple(config.train)))
-    if config.mode in UNION_MODES:
+    if union:
         for src in config.sources:
             lines.append(f"union_source={src.source_id},{src.corpus_path}")
     if ctx is not None:
@@ -307,15 +318,25 @@ def evaluate_model(params, vocabulary, ctx, test, reference, pool,
     return EvalReport(ppl, coh, ir)
 
 
-def _prepare_kbs(config, out_dir, audit):
-    """Build (train + export) or load each source knowledge base."""
-    kbs = []
+def _prepare_kbs(config, vocabulary, candidates, out_dir, audit):
+    """Load each prebuilt source knowledge base or build (train + export) it, in
+    source order.  Every prebuilt KB is loaded, and checked against every
+    candidate's weights, before any source model trains."""
+    kbs = {}
     for src in config.sources:
+        if src.kb_path is not None:
+            with _stage(f"preparing knowledge base {src.source_id!r}"):
+                kbs[src.source_id] = load_kb(src.kb_path, src.source_id)
+    with _stage("checking knowledge bases"):
+        for lam, gamma in candidates:
+            transfer_context(list(kbs.values()), vocabulary, config.mode,
+                             [w for w in candidate_weights(config, lam, gamma) if w[0] in kbs],
+                             config.train.n_topics, config.gvt_mask_oov)
+    for src in config.sources:
+        if src.kb_path is not None:
+            audit.append(("kb", f"source:{src.source_id}", 0))
+            continue
         with _stage(f"preparing knowledge base {src.source_id!r}"):
-            if src.kb_path is not None:
-                kbs.append(load_kb(src.kb_path, src.source_id))
-                audit.append(("kb", f"source:{src.source_id}", 0))
-                continue
             source_corpus = corpuslib.load_corpus_file(
                 src.corpus_path, labeled=config.labeled,
                 min_freq=config.min_freq, max_vocab=config.max_vocab)
@@ -323,8 +344,8 @@ def _prepare_kbs(config, out_dir, audit):
             params, _ = train(source_corpus, config.train)
             kb = build_kb(params, source_corpus.vocabulary, src.source_id)
             save_kb(kb, os.path.join(out_dir, f"kb.{src.source_id}"))
-            kbs.append(kb)
-    return kbs
+            kbs[src.source_id] = kb
+    return [kbs[src.source_id] for src in config.sources]
 
 
 def _union_corpus(parts, labeled, min_freq, max_vocab):
@@ -425,7 +446,7 @@ def run_experiment(config):
             config.target_train, config.labeled,
             pool=None if config.mode in UNION_MODES else train_corpus)
     if candidates:
-        kbs = _prepare_kbs(config, config.out_dir, audit)
+        kbs = _prepare_kbs(config, vocabulary, candidates, config.out_dir, audit)
     audit.append(("train", "total", len(train_corpus)))
 
     if candidates:

@@ -11,6 +11,7 @@ penalty on W toward source topic rows (global view).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 from concurrent import futures
@@ -222,41 +223,38 @@ def use_helper(n_topics, vocab_size):
 
 @contextlib.contextmanager
 def helper_thread(n_topics, vocab_size):
-    """A one-thread executor for the block when use_helper says so, else None.
+    """The block's beside(fn, *args): a no-argument call that gives fn(*args).
 
-    Leaving the block waits for the work submitted to it, also when the block
-    raises, and ends the thread.
+    When use_helper says so, beside submits fn to a one-thread executor and
+    the call waits for its result; else beside is functools.partial, so fn
+    runs on the caller's thread when called.  Leaving the block waits for the
+    work handed to the helper, also when the block raises, and ends the thread.
     """
     if not use_helper(n_topics, vocab_size):
-        yield None
+        yield functools.partial
         return
     with futures.ThreadPoolExecutor(1, thread_name_prefix="topicxfer-helper") as helper:
-        yield helper
+        yield lambda fn, *args: helper.submit(fn, *args).result
 
 
-def _doc_step(params, ctx, words, lvt, use_lvt, act, helper=None):
+def _doc_step(params, ctx, words, lvt, use_lvt, act, beside=functools.partial):
     """Loss and gradients of one document: the step train() and gradients() share.
 
     Returns (loss, dw_cols, dU, db, dc, gvt).  dw_cols[q] is the gradient of
     the W column of words[q]; gvt is (dW, {source_id: dA}) of the alignment
-    penalty, which loss includes, or None without global transfer.  With a
-    helper executor (from helper_thread), gvt_gradients runs on it, with the
-    arguments of the sequential call, while doc_grads runs here; an error is
-    raised in sequential order, doc_grads' first.
+    penalty, which loss includes, or None without global transfer.
+    gvt_gradients goes to beside (from helper_thread) before doc_grads runs
+    here; its result is asked for after, so an error is raised in sequential
+    order, doc_grads' first.
     """
-    gvt_on = ctx is not None and ctx.gvt_weights
-    pending = None
-    if gvt_on and helper is not None:
-        pending = helper.submit(transfer.gvt_gradients, params.W, ctx, params.alignments)
+    pending = gvt = None
+    if ctx is not None and ctx.gvt_weights:
+        pending = beside(transfer.gvt_gradients, params.W, ctx, params.alignments)
     logps, dw_cols, dU, db, dc = kernels.doc_grads(
         words, params.W, params.U, params.b, params.c, lvt, use_lvt, act)
     doc_loss = -np.add.reduce(logps)
-    gvt = None
-    if gvt_on:
-        if pending is None:
-            penalty, dW, dA = transfer.gvt_gradients(params.W, ctx, params.alignments)
-        else:
-            penalty, dW, dA = pending.result()
+    if pending is not None:
+        penalty, dW, dA = pending()
         doc_loss += penalty
         gvt = (dW, dA)
     return doc_loss, dw_cols, dU, db, dc, gvt
@@ -340,9 +338,9 @@ def train(corpus, config, ctx=None, validation=None):
     for epoch in range(config.epochs):
         order = rng.permutation(len(corpus)) if config.shuffle_docs else np.arange(len(corpus))
         total_loss = 0.0
-        # the alignment-penalty gradients run beside doc_grads on a helper
-        # thread; without them nothing is submitted, so no thread starts
-        with helper_thread(*params.W.shape) as helper:
+        # the alignment-penalty gradients run beside doc_grads; without them
+        # nothing goes to beside, so no helper thread starts
+        with helper_thread(*params.W.shape) as beside:
             for di in order:
                 words = corpus.documents[di].words
                 if config.shuffle_words:
@@ -350,7 +348,7 @@ def train(corpus, config, ctx=None, validation=None):
                     words = words.copy()
                     rng.shuffle(words)
                 doc_loss, dw_cols, dU, db, dc, gvt = _doc_step(
-                    params, ctx, words, lvt, lvt_on, act, helper)
+                    params, ctx, words, lvt, lvt_on, act, beside)
                 if not math.isfinite(doc_loss):
                     raise NumericalError(
                         f"training diverged: non-finite loss at epoch {epoch}, document {di}")

@@ -137,7 +137,7 @@ def test_argument_error_is_single_line(tmp_path, family, capsys, args):
     rc = main([*args, "--model", str(model), *needs])
     assert rc == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {args[1]}: ") and len(err.splitlines()) == 1
 
 
 def test_import_embeddings(tmp_path, capsys):

@@ -161,6 +161,23 @@ def test_config_mode_validation(tmp_path):
                          sources=[SourceConfig("s", corpus_path="c")])
     with pytest.raises(ConfigError, match="unknown mode"):
         ExperimentConfig(mode="wat", target_train="a", target_test="b", out_dir="o")
+    with pytest.raises(ConfigError, match=r"^source\.s: the source id is repeated$"):
+        ExperimentConfig(mode="data-augment", target_train="a", target_test="b", out_dir="o",
+                         sources=[SourceConfig("s", corpus_path="c"),
+                                  SourceConfig("s", corpus_path="d")])
+
+
+def test_fingerprint_of_a_union_mode_ignores_the_validation_split():
+    # zero-shot and data-augment read no validation split
+    def fingerprint(mode, validation):
+        return _fingerprint(ExperimentConfig(
+            mode=mode, target_train="t.txt", target_validation=validation,
+            target_test="s.txt", out_dir="o",
+            sources=[SourceConfig("s1", corpus_path="news.txt")]), None)
+
+    for mode in ("zero-shot", "data-augment"):
+        assert fingerprint(mode, "v.txt") == fingerprint(mode, "w.txt") == fingerprint(mode, None)
+    assert fingerprint("gvt", "v.txt") != fingerprint("gvt", "w.txt")
 
 
 @pytest.mark.parametrize("source_id", ["a/b", "a b", ""])
@@ -346,6 +363,39 @@ def test_prebuilt_kb_is_used_under_its_config_source_id(tmp_path):
         lambda_grid=[0.5], gamma_grid=[0.1], **base_kwargs(paths)))
     assert (tmp_path / "out" / "model" / "A.ext.mat").exists()
     assert "residual.ext" in (tmp_path / "out" / "train_log.txt").read_text()
+
+
+def _kb_of_topics(paths, n_topics, path):
+    vocabulary = load_corpus_file(paths["source"], labeled=True).vocabulary
+    rng = np.random.default_rng(4)
+    topics = rng.normal(size=(n_topics, len(vocabulary)))
+    save_kb(KnowledgeBase("kb", vocabulary, topics, topics), path)
+
+
+def test_a_prebuilt_kb_that_cannot_serve_the_mode_fails_before_any_source_trains(tmp_path):
+    paths = small_family(tmp_path)
+    _kb_of_topics(paths, 2, tmp_path / "kb2")
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="source 'b': embedding dimension 2 must equal"):
+        run_experiment(ExperimentConfig(
+            mode="lvt", out_dir=str(out), lambda_grid=[0.5],
+            sources=[SourceConfig("a", corpus_path=paths["source"]),
+                     SourceConfig("b", kb_path=str(tmp_path / "kb2"))],
+            **base_kwargs(paths, epochs=2)))
+    assert not (out / "kb.a").exists()
+
+    # a KB that fits is loaded first too, but its ingestion row keeps source order
+    _kb_of_topics(paths, 3, tmp_path / "kb3")
+    run_experiment(ExperimentConfig(
+        mode="lvt", out_dir=str(out), lambda_grid=[0.5],
+        sources=[SourceConfig("b", kb_path=str(tmp_path / "kb3")),
+                 SourceConfig("a", corpus_path=paths["source"]),
+                 SourceConfig("c", kb_path=str(tmp_path / "kb3"))],
+        **base_kwargs(paths, epochs=2)))
+    rows = [line.split()[1] for line in (out / "ingestion.txt").read_text().splitlines()
+            if line.startswith("kb ")]
+    assert rows == ["source:b", "source:a", "source:c"]
+    assert (out / "kb.a" / "meta.txt").exists()
 
 
 # ----------------------------------------------------------------- grid search

@@ -122,8 +122,8 @@ def _machine(monkeypatch, blas_threads, cpus):
 def test_the_helper_needs_one_blas_thread_and_two_cpus(monkeypatch, blas_threads, cpus, on):
     _machine(monkeypatch, blas_threads, cpus)
     assert model.use_helper(200, 2000) is on
-    with model.helper_thread(200, 2000) as helper:
-        assert (helper is not None) is on
+    with model.helper_thread(200, 2000) as beside:
+        assert (beside(threading.current_thread)().name != "MainThread") is on
 
 
 def test_the_helper_needs_a_model_of_helper_min_size(monkeypatch):
